@@ -6,11 +6,17 @@ action. Each strategy is deterministic given its observation stream, so a
 rerun with the same seed reproduces the trace bit for bit.
 """
 
-from .engine import AdversaryStrategy, AdversaryViolation
+from .engine import AdversaryStrategy, AdversaryViolation, ConfigError
 
 
 class ScheduleExceedsBudget(AdversaryViolation):
     pass
+
+
+def check_pids(pids, n):
+    bad = sorted(p for p in pids if not 1 <= p <= n)
+    if bad:
+        raise ConfigError("pids %s outside 1..%d" % (bad, n))
 
 
 def strategy_none():
@@ -33,6 +39,7 @@ class CrashAsOmission(AdversaryStrategy):
         total = set()
         for ps in self.schedule.values():
             total |= ps
+        check_pids(total, config.n)
         if len(total) > config.t:
             raise ScheduleExceedsBudget(
                 "schedule crashes %d > t=%d processes" % (len(total), config.t))
@@ -62,7 +69,10 @@ def load_schedule(text):
         if not line or line.startswith("#"):
             continue
         head, _, rest = line.partition(":")
-        schedule[int(head)] = frozenset(int(x) for x in rest.split())
+        try:
+            schedule[int(head)] = frozenset(int(x) for x in rest.split())
+        except ValueError:
+            raise ConfigError("bad schedule line %r" % line)
     return schedule
 
 
@@ -78,12 +88,13 @@ class Eclipse(AdversaryStrategy):
 
     def __init__(self, targets, rotation=2):
         if rotation < 1:
-            raise AdversaryViolation("rotation must be >= 1")
+            raise ConfigError("rotation must be >= 1")
         self.targets = frozenset(targets)
         self.rotation = rotation
         self._fired = False
 
     def start(self, config, protocol):
+        check_pids(self.targets, config.n)
         if len(self.targets) > config.t:
             raise ScheduleExceedsBudget(
                 "%d targets > t=%d" % (len(self.targets), config.t))
@@ -119,7 +130,7 @@ class CoinBiaser(AdversaryStrategy):
 
     def __init__(self, direction):
         if direction not in (0, 1):
-            raise AdversaryViolation("direction must be a bit")
+            raise ConfigError("direction must be a bit")
         self.direction = direction
         self.taken = set()
 
@@ -149,11 +160,3 @@ class CoinBiaser(AdversaryStrategy):
 
 def strategy_coin_biaser(direction):
     return CoinBiaser(direction)
-
-
-BUILTIN = {
-    "none": lambda **kw: strategy_none(),
-    "crash": lambda schedule=None, **kw: strategy_crash_as_omission(schedule or {}),
-    "eclipse": lambda targets=(), rotation=2, **kw: strategy_eclipse(targets, rotation),
-    "coin-biaser": lambda direction=1, **kw: strategy_coin_biaser(direction),
-}

@@ -13,7 +13,7 @@ import click
 
 from .adversaries import load_schedule
 from .coingame import BUILTIN_F, CoinGame, anti_concentration_check, bias_report
-from .engine import AdversaryViolation, ConfigError, LivenessFailure
+from .engine import AdversaryViolation, BudgetExceeded, ConfigError, LivenessFailure
 from .graphs import GraphConfig, certify, generate
 from . import harness
 
@@ -29,11 +29,19 @@ def emit(text, out):
         click.echo(text, nl=False)
 
 
+def load_json(path):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ConfigError("%s is not valid JSON: %s" % (path, e))
+
+
 def guarded(fn):
     def wrapper(*a, **kw):
         try:
             return fn(*a, **kw)
-        except ConfigError as e:
+        except (ConfigError, BudgetExceeded) as e:
             click.echo("config error: %s" % e, err=True)
             sys.exit(EXIT_CONFIG)
         except (AdversaryViolation, LivenessFailure, AssertionError) as e:
@@ -75,13 +83,17 @@ def main():
 def run(n, t, seed, protocol, x, adversary, schedule, targets, rotation,
         direction, inputs, config_path, preset, out, fmt):
     """Run one execution and emit its record."""
-    overrides = json.load(open(config_path)) if config_path else None
+    overrides = load_json(config_path) if config_path else None
     constants = harness.build_constants(overrides, preset)
     opts = {"rotation": rotation, "direction": direction}
     if schedule:
-        opts["schedule"] = load_schedule(open(schedule).read())
+        with open(schedule) as fh:
+            opts["schedule"] = load_schedule(fh.read())
     if targets:
-        opts["targets"] = tuple(int(p) for p in targets.split(","))
+        try:
+            opts["targets"] = tuple(int(p) for p in targets.split(","))
+        except ValueError:
+            raise ConfigError("--targets takes comma-separated pids, got %r" % targets)
     rec = harness.run_record(n=n, t=t, seed=seed, protocol=protocol, x=x,
                              adversary=adversary, adversary_opts=opts,
                              constants=constants, inputs=inputs)
@@ -98,7 +110,7 @@ def run(n, t, seed, protocol, x, adversary, schedule, targets, rotation,
 @guarded
 def sweep(plan_path, out, fmt):
     """Run every (cell, seed) of a JSON plan file."""
-    plan = json.load(open(plan_path))
+    plan = load_json(plan_path)
     records = harness.run_sweep(plan)
     if fmt == "csv":
         emit(harness.csv_summary(records), out)

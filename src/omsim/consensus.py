@@ -13,12 +13,28 @@ All threshold comparisons are exact integer cross-multiplications.
 
 from .engine import ConfigError
 from .fallback import run_fallback
-from .groups import Instance, ProtoState, group_bits_aggregation, group_bits_spreading
-from .params import Constants
+from .groups import Instance, group_bits_aggregation, group_bits_spreading
+from .params import Constants, check_threshold_gap
 
 
 class DegenerateInput(Exception):
     """Raised when a vote update sees zero total weight."""
+
+
+def checked_constants(config, bound_name):
+    """The run's constants, once t < n / (the fault bound named) and the
+    voting gap hold; raises ConfigError otherwise."""
+    constants = config.params if config.params is not None else Constants()
+    n, t = config.n, config.t
+    bound = getattr(constants, bound_name)
+    if t * bound >= n:
+        raise ConfigError(
+            "fault bound violated: need t < n/%d, got t=%d n=%d" % (bound, t, n))
+    if not check_threshold_gap(constants, n, t):
+        raise ConfigError(
+            "voting gap set_one - set_zero must cover 3t/n, got %s - %s at t=%d n=%d"
+            % (constants.set_one, constants.set_zero, t, n))
+    return constants
 
 
 def decide_candidate(ones, zeros, constants, draw):
@@ -49,34 +65,56 @@ def main_core(inst, ctx, st):
     """The epoch loop plus the single dissemination round, as a generator.
 
     Shared between the standalone protocol and the trade-off protocol's
-    super-process phases (which stop right here and handle the rest
-    themselves). Returns True iff an undecided process adopted a bit from a
-    decided sender in the dissemination round.
+    super-process phases (which stop right here). Returns True iff an
+    undecided process adopted a bit from a decided sender in the
+    dissemination round.
     """
     for epoch in range(1, inst.epochs + 1):
         st.epoch = epoch
-        ctx.state["epoch"] = epoch
         gpair = yield from group_bits_aggregation(inst, ctx, st)
         pair = yield from group_bits_spreading(inst, ctx, st, gpair)
         if st.operative and pair is not None:
             ones, zeros = inst.val(pair[0]), inst.val(pair[1])
             st.b, st.decided = decide_candidate(ones, zeros, inst.constants, ctx.rand_bit)
-            ctx.state["b"] = st.b
-            ctx.state["decided"] = st.decided
+    return (yield from disseminate(ctx, st, [q for q in inst.members if q != ctx.pid]))
 
-    # dissemination: decided operative processes announce their bit once
+
+def disseminate(ctx, st, targets):
+    """One round: decided operative processes announce their bit to
+    `targets`; an undecided process adopts the lowest sender's announcement.
+    Returns True iff it adopted one."""
     if st.operative and st.decided:
-        ctx.broadcast([q for q in inst.members if q != ctx.pid], ("dv", st.b), 1)
+        ctx.broadcast(targets, ("dv", st.b), 1)
     inbox = yield
-    informed = False
     if not st.decided:
         for s, payload in inbox:   # inboxes arrive in sender order
             if payload[0] == "dv":
                 st.b = payload[1]
-                ctx.state["b"] = st.b
-                informed = True
-                break
-    return informed
+                return True
+    return False
+
+
+def closing(ctx, st, informed, t, targets):
+    """The closing moves after dissemination: decided processes decide,
+    operative holdouts run the chain-flooding fallback over `targets` and
+    announce its result, and inoperative holdouts decide the bit they were
+    informed of or wait for that announcement."""
+    if st.decided or (informed and not st.operative):
+        ctx.decide(st.b)
+        return
+    if not st.operative:
+        # t + 3 rounds cover the flooding plus the announcement hop
+        for _ in range(t + 3):
+            inbox = yield
+            for s, payload in inbox:
+                if payload[0] == "fd":
+                    ctx.decide(payload[1])
+                    return
+        return  # only reachable for a faulty process cut off entirely
+    ctx.note("fallback", True)
+    value = yield from run_fallback(ctx, st.b, t, targets)
+    ctx.broadcast(targets, ("fd", value), 1)
+    ctx.decide(value)
 
 
 class MainConsensus:
@@ -87,15 +125,10 @@ class MainConsensus:
     name = "main"
 
     def __init__(self, config, provenance=False):
-        constants = config.params if config.params is not None else Constants()
-        n, t = config.n, config.t
-        if t * constants.main_fault_bound >= n:
-            raise ConfigError(
-                "fault bound violated: need t < n/%d, got t=%d n=%d"
-                % (constants.main_fault_bound, t, n))
+        constants = checked_constants(config, "main_fault_bound")
         self.config = config
         self.constants = constants
-        self.inst = Instance(range(1, n + 1), t, config.seed, constants,
+        self.inst = Instance(range(1, config.n + 1), config.t, config.seed, constants,
                              provenance=provenance)
         self.closed_form_T = self.inst.epochs * self.inst.epoch_rounds + 2
 
@@ -117,32 +150,7 @@ class MainConsensus:
         return self.closed_form_T + self.config.t + 8
 
     def run(self, ctx):
-        ctx.state["operative"] = True
-        ctx.state["b"] = ctx.input
-        ctx.state["decided"] = False
-        st = ProtoState(ctx.input)
-        inst = self.inst
-
-        informed = yield from main_core(inst, ctx, st)
-        if st.decided:
-            ctx.decide(st.b)
-            return
-        if not st.operative:
-            if informed:
-                ctx.decide(st.b)
-                return
-            # wait for some fallback participant's announcement; t + 3
-            # rounds cover the flooding plus the announcement hop
-            for _ in range(self.config.t + 3):
-                inbox = yield
-                for s, payload in inbox:
-                    if payload[0] == "fd":
-                        ctx.decide(payload[1])
-                        return
-            return  # only reachable for a faulty process cut off entirely
-
-        targets = [q for q in inst.members if q != ctx.pid]
-        ctx.note("fallback", True)
-        value = yield from run_fallback(ctx, st.b, self.config.t, targets)
-        ctx.broadcast(targets, ("fd", value), 1)
-        ctx.decide(value)
+        st = ctx.state
+        informed = yield from main_core(self.inst, ctx, st)
+        targets = [q for q in self.inst.members if q != ctx.pid]
+        yield from closing(ctx, st, informed, self.config.t, targets)

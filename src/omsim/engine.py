@@ -128,13 +128,14 @@ class AdversaryObservation:
 
     Exposes everything that exists at call time: states, this round's drawn
     bits, pending message contents.  Randomness not yet drawn does not exist
-    anywhere in the engine, so it cannot leak here.
+    anywhere in the engine, so it cannot leak here.  `states` holds the live
+    ProtoStates (read only); the trade-off inner runs' own are not shown.
     """
     round: int
     phase: str                # "send" or "deliver"
     n: int = 0
     t: int = 0
-    states: dict = field(default_factory=dict)      # pid -> state dict
+    states: dict = field(default_factory=dict)      # pid -> live ProtoState
     drawn_bits: dict = field(default_factory=dict)  # pid -> list of values drawn this round
     pending: tuple = ()                             # Message tuple (general path)
     corrupted: frozenset = frozenset()
@@ -227,7 +228,7 @@ class RoundRecord:
     corrupted_new: tuple = ()
     messages: list = None          # record_level >= 1
     omitted_messages: list = None  # record_level >= 1
-    states: dict = None            # record_level >= 2
+    states: dict = None            # record_level >= 2: pid -> ProtoState fields
 
 
 class ExecutionTrace:
@@ -236,7 +237,6 @@ class ExecutionTrace:
         self.corrupted = {}   # pid -> round of corruption
         self.decisions = {}   # pid -> (value, round)
         self.notes = {}
-        self.operative_counts = []  # per-round, monotone non-increasing
 
     def verify(self, t):
         """Replay-style checks of the model constraints on a full trace."""
@@ -261,6 +261,19 @@ class ExecutionTrace:
 # Per-process context
 # ---------------------------------------------------------------------------
 
+class ProtoState:
+    """Per-process protocol memory that must survive across epochs.  The
+    engine counts a round's operative processes from `operative`."""
+    __slots__ = ("b", "operative", "decided", "disregarded", "epoch")
+
+    def __init__(self, b):
+        self.b = b
+        self.operative = True
+        self.decided = False
+        self.disregarded = set()   # overlay neighbors excluded forever
+        self.epoch = 0
+
+
 class Context:
     __slots__ = ("pid", "n", "input", "state", "_engine", "_rng", "decided")
 
@@ -268,7 +281,7 @@ class Context:
         self.pid = pid
         self.n = engine.config.n
         self.input = input_bit
-        self.state = {}
+        self.state = ProtoState(input_bit)
         self.decided = None
         self._engine = engine
         # one private stream per process; bits materialize only on access
@@ -290,23 +303,10 @@ class Context:
         eng.drawn_this_round.setdefault(self.pid, []).append(v)
         return v
 
-    def rand_bits(self, k):
-        eng = self._engine
-        v = self._rng.getrandbits(k)
-        eng.ledger.record(eng.round, k)
-        eng.drawn_this_round.setdefault(self.pid, []).append(v)
-        return v
-
     def decide(self, value):
         if self.decided is None:
             self.decided = value
             self._engine.trace.decisions[self.pid] = (value, self._engine.round)
-
-    def mark_inoperative(self):
-        # idempotent downgrade; the engine keeps the global count
-        if self.state.get("operative", True):
-            self.state["operative"] = False
-            self._engine.operative_count -= 1
 
     def note(self, key, value):
         self._engine.trace.notes[key] = value
@@ -324,15 +324,10 @@ class Engine:
         self.record_level = record_level
         self.round = 0
         self.outbox = []
-        self.corrupted = {}
         self.drawn_this_round = {}
         self.ledger = RandomnessLedger()
         self.trace = ExecutionTrace()
-        self.comm_bits = 0
-        self.sent_msgs = 0
-        self.omitted_msgs = 0
-        self.delivered_msgs = 0
-        self.operative_count = config.n
+        self.corrupted = self.trace.corrupted
         self.protocol_meta = dict(getattr(protocol, "meta", lambda: {})())
         self.ctxs = [None] + [Context(self, p, config.inputs[p - 1] if config.inputs else 0)
                               for p in range(1, config.n + 1)]
@@ -345,6 +340,7 @@ class Engine:
         gens = [None] + [self.protocol.run(self.ctxs[p]) for p in range(1, n + 1)]
         alive = self.alive = [False] + [True] * n
         inbox = [None] + [[] for _ in range(n)]
+        states = [self.ctxs[p].state for p in range(1, n + 1)]
         max_rounds = getattr(self.protocol, "max_rounds", lambda: 10000)()
         silenced = frozenset()
         # processes that are both unfinished and never-corrupted; the run
@@ -378,20 +374,9 @@ class Engine:
                         self.live_uncorrupted -= 1
 
             # --- adversary: corruption step ------------------------------
-            new_corr = ()
+            rec = RoundRecord(index=rnd)
             obs = adversary_view(self, "send") if strategy.needs_observation else None
-            corr = strategy.corruptions(obs)
-            if corr:
-                newly = [p for p in corr if p not in self.corrupted]
-                if len(self.corrupted) + len(newly) > t:
-                    raise AdversaryViolation(
-                        "corruption budget exceeded at round %d" % rnd)
-                for p in newly:
-                    self.corrupted[p] = rnd
-                    self.trace.corrupted[p] = rnd
-                    if alive[p]:
-                        self.live_uncorrupted -= 1
-                new_corr = tuple(newly)
+            self._absorb_corruptions(strategy.corruptions(obs), rec)
             sil = strategy.silenced()
             if sil != silenced:
                 if not sil <= self.corrupted.keys():
@@ -399,18 +384,18 @@ class Engine:
                 silenced = sil
 
             # --- communication phase -------------------------------------
-            rec = RoundRecord(index=rnd, corrupted_new=new_corr)
             if strategy.needs_messages:
                 self._deliver_general(outbox, inbox, alive, rec, t)
             else:
                 self._deliver_fast(outbox, inbox, alive, rec, silenced, strategy)
 
             rec.rand_accesses = self.ledger.per_round.get(rnd, 0)
-            rec.operative = self.operative_count
+            rec.operative = sum(1 for s in states if s.operative)
             if self.record_level >= 2:
-                rec.states = {p: dict(self.ctxs[p].state) for p in range(1, n + 1)}
+                rec.states = {p: {"b": s.b, "operative": s.operative,
+                                  "decided": s.decided, "epoch": s.epoch}
+                              for p, s in enumerate(states, start=1)}
             self.trace.rounds.append(rec)
-            self.trace.operative_counts.append(self.operative_count)
 
         # liveness: every never-corrupted process must have decided
         for p in range(1, n + 1):
@@ -479,10 +464,6 @@ class Engine:
                         if a is not None:
                             a(pair)
         rec.sent, rec.bits, rec.omitted, rec.delivered = sent, bits, omitted, delivered
-        self.sent_msgs += sent
-        self.comm_bits += bits
-        self.omitted_msgs += omitted
-        self.delivered_msgs += delivered
 
     # general path: per-message pending list, two observation hooks
     def _deliver_general(self, outbox, inbox, alive, rec, t):
@@ -493,18 +474,12 @@ class Engine:
                 pending.append(Message(sender, q, payload, b))
         rec.sent = len(pending)
         rec.bits = sum(m.bits for m in pending)
-        omitted_all = []
-
-        action = strategy.decide(adversary_view(self, "send", pending))
-        pending2, omitted, newc = apply_adversary_action(action, pending, self.corrupted, t)
-        self._absorb_corruptions(action.corrupt, rec)
-        omitted_all.extend(omitted)
-
-        action = strategy.decide(adversary_view(self, "deliver", pending2))
-        delivered, omitted, newc = apply_adversary_action(action, pending2, self.corrupted, t)
-        self._absorb_corruptions(action.corrupt, rec)
-        omitted_all.extend(omitted)
-
+        delivered, omitted_all = pending, []
+        for phase in ("send", "deliver"):
+            action = strategy.decide(adversary_view(self, phase, delivered))
+            delivered, omitted, _ = apply_adversary_action(action, delivered, self.corrupted, t)
+            self._absorb_corruptions(action.corrupt, rec)
+            omitted_all.extend(omitted)
         for m in delivered:
             if alive[m.receiver]:
                 inbox[m.receiver].append((m.sender, m.payload))
@@ -513,20 +488,16 @@ class Engine:
         if self.record_level >= 1:
             rec.messages = pending
             rec.omitted_messages = omitted_all
-        self.sent_msgs += rec.sent
-        self.comm_bits += rec.bits
-        self.omitted_msgs += rec.omitted
-        self.delivered_msgs += rec.delivered
 
     def _absorb_corruptions(self, corrupt, rec):
         newly = [p for p in corrupt if p not in self.corrupted]
         if not newly:
             return
         if len(self.corrupted) + len(newly) > self.config.t:
-            raise AdversaryViolation("corruption budget exceeded")
+            raise AdversaryViolation(
+                "corruption budget exceeded at round %d" % self.round)
         for p in newly:
             self.corrupted[p] = self.round
-            self.trace.corrupted[p] = self.round
             if self.alive[p]:
                 self.live_uncorrupted -= 1
         rec.corrupted_new = tuple(rec.corrupted_new) + tuple(newly)

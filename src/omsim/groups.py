@@ -16,23 +16,28 @@ become frozensets of contributing process ids, with identical control flow,
 so contribution invariants can be asserted on real runs.
 """
 
+from .engine import ProtoState  # noqa: F401  (re-exported: the routines' `st`)
 from .engine import count_bits, group_index_bits, isqrt_ceil, log2_ceil
 from .graphs import GraphConfig, generate
 
 
-def make_groups(members):
-    """Split a sorted member tuple into ceil(sqrt(k)) contiguous blocks of
-    nearly equal size (every block within one of k // m)."""
-    k = len(members)
-    m = isqrt_ceil(k)
-    base, extra = divmod(k, m)
-    groups = []
+def split_blocks(members, m):
+    """Split a sorted member tuple into m contiguous blocks, every block
+    within one of k // m; empty blocks (m > k) are dropped."""
+    base, extra = divmod(len(members), m)
+    blocks = []
     at = 0
     for i in range(m):
         size = base + (1 if i < extra else 0)
-        groups.append(tuple(members[at:at + size]))
+        blocks.append(tuple(members[at:at + size]))
         at += size
-    return [g for g in groups if g] or [tuple(members)]
+    return [b for b in blocks if b]
+
+
+def make_groups(members):
+    """Split a sorted member tuple into ceil(sqrt(k)) blocks of nearly
+    equal size."""
+    return split_blocks(members, isqrt_ceil(len(members)))
 
 
 def build_tree(group):
@@ -51,31 +56,27 @@ def build_tree(group):
     return layers
 
 
-class ProtoState:
-    """Per-process protocol memory that must survive across epochs."""
-    __slots__ = ("b", "operative", "decided", "disregarded", "epoch")
-
-    def __init__(self, b):
-        self.b = b
-        self.operative = True
-        self.decided = False
-        self.disregarded = set()   # overlay neighbors excluded forever
-        self.epoch = 0
+def overlay(members, constants, seed, graph_tag=0):
+    """The overlay over sorted members: its degree parameter, which cannot
+    exceed k - 1, and pid -> neighbor tuple."""
+    k = len(members)
+    if k == 1:
+        return 0, {members[0]: ()}
+    delta = min(max(1, int(round(constants.delta_coeff * log2_ceil(k)))), k - 1)
+    g = generate(GraphConfig(n=k, delta=delta,
+                             seed=(seed * 1000003 + graph_tag) & (2 ** 63 - 1)))
+    return delta, {p: tuple(members[j - 1] for j in g.neighbors(i))
+                   for i, p in enumerate(members, start=1)}
 
 
 class Instance:
     """Everything shared by one consensus scope: membership, the group
     partition and trees, the overlay graph, and the round schedule."""
 
-    def __init__(self, members, t, seed, constants, provenance=False, graph_tag=0,
-                 tracked=True):
+    def __init__(self, members, t, seed, constants, provenance=False, graph_tag=0):
         self.members = tuple(sorted(members))
         self.member_set = frozenset(self.members)
         self.k = len(self.members)
-        # untracked instances (inner runs of the trade-off protocol) keep
-        # their inoperative bookkeeping private to the run
-        self.tracked = tracked
-        self.t = t
         self.constants = constants
         self.provenance = provenance
 
@@ -88,18 +89,8 @@ class Instance:
         self.trees = [build_tree(g) for g in self.groups]
         self.stages = max(len(t_) - 1 for t_ in self.trees)
 
-        # overlay over the members; the degree parameter cannot exceed k - 1
         L = log2_ceil(self.k)
-        self.delta = min(max(1, int(round(constants.delta_coeff * L))), self.k - 1) \
-            if self.k > 1 else 0
-        self.neighbors = {}
-        if self.k > 1:
-            g = generate(GraphConfig(n=self.k, delta=self.delta,
-                                     seed=(seed * 1000003 + graph_tag) & (2 ** 63 - 1)))
-            for i, p in enumerate(self.members, start=1):
-                self.neighbors[p] = tuple(self.members[j - 1] for j in g.neighbors(i))
-        else:
-            self.neighbors[self.members[0]] = ()
+        self.delta, self.neighbors = overlay(self.members, constants, seed, graph_tag)
 
         self.spreading_rounds = max(1, int(-(-constants.spreading_coeff * L // 1)))
         self.epoch_rounds = 3 * self.stages + self.spreading_rounds
@@ -191,8 +182,6 @@ def group_relay(inst, ctx, st, stage, counts_in):
         confirmations = 1 + sum(1 for _, payload in inbox if payload[0] == "rk")
         if 2 * confirmations < W + 2:
             st.operative = False
-            if inst.tracked:
-                ctx.mark_inoperative()
             sourcing = False
 
     # round 3: merged sets to every potential source of each bag we hold
@@ -218,8 +207,6 @@ def group_relay(inst, ctx, st, stage, counts_in):
             result.setdefault(side, (ones, zeros))
     if 2 * len(candidates) < W + 2:
         st.operative = False
-        if inst.tracked:
-            ctx.mark_inoperative()
         return None
     return result
 
@@ -264,6 +251,20 @@ def group_bits_aggregation(inst, ctx, st):
     return None
 
 
+def delivery_rule(st, active, got, threshold, divisor):
+    """The operative/disregard rule of Chlebus & Kowalski's robust gossip,
+    applied after one round in which every active neighbor owed p exactly
+    one message: neighbors in `active` missing from `got` are disregarded
+    forever, and hearing from fewer than threshold / divisor of them makes
+    p inoperative.  Returns the neighbors still active."""
+    if len(got) < len(active):
+        st.disregarded.update(q for q in active if q not in got)
+        active = [q for q in active if q in got]
+    if len(got) * divisor < threshold:
+        st.operative = False
+    return active
+
+
 def group_bits_spreading(inst, ctx, st, gpair):
     """Gossip every group's (ones, zeros) pair along the overlay.
 
@@ -285,8 +286,8 @@ def group_bits_spreading(inst, ctx, st, gpair):
     shared = {q: set() for q in active}   # entries the edge carried, either way
     sent_upto = {q: 0 for q in active}    # prefix of `filled` already offered
     entry_bits = inst.gib + 2 * inst.cb
-    # received * divisor < threshold => inoperative; capped by the actual
-    # degree so a sparse corner of the overlay is not blamed on its tenant
+    # capped by the actual degree so a sparse corner of the overlay is not
+    # blamed on its tenant
     threshold = min(inst.delta, len(inst.neighbors[ctx.pid]))
     divisor = inst.constants.inoperative_divisor
 
@@ -312,12 +313,10 @@ def group_bits_spreading(inst, ctx, st, gpair):
             # an empty pack update still signals liveness on the edge
             ctx.broadcast(empties, ("sp", ()), 0)
         inbox = yield
-        senders = 0
         got = set()
         for s, payload in inbox:
             if payload[0] != "sp" or s in st.disregarded:
                 continue
-            senders += 1
             got.add(s)
             seen = shared.get(s)
             for e in payload[1]:
@@ -327,15 +326,7 @@ def group_bits_spreading(inst, ctx, st, gpair):
                 if packs[i] is None:
                     packs[i] = e[1:]
                     filled.append(i)
-        if len(got) < len(active):
-            for q in active:
-                if q not in got:
-                    st.disregarded.add(q)
-            active = [q for q in active if q in got]
-        if senders * divisor < threshold:
-            st.operative = False
-            if inst.tracked:
-                ctx.mark_inoperative()
+        active = delivery_rule(st, active, got, threshold, divisor)
     if not st.operative:
         return None
     ones = zeros = inst.zero()

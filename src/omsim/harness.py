@@ -7,6 +7,7 @@ validated is a bug, not a data point.
 """
 
 import csv
+import inspect
 import io
 import json
 from dataclasses import asdict
@@ -137,10 +138,16 @@ def run_record(n, t, seed, protocol="main", x=1, adversary="none",
     return record
 
 
+# what a sweep cell may hold besides "seeds", "constants" and "preset"
+CELL_KEYS = frozenset(inspect.signature(run_record).parameters) - {"seed", "constants"}
+
+
 def run_sweep(plan):
     """plan: {"cells": [cell, ...]}; each cell holds run_record kwargs plus
     "seeds" (count or explicit list). Per-cell errors become error records
     and the sweep continues."""
+    if not isinstance(plan, dict) or not isinstance(plan.get("cells", []), list):
+        raise ConfigError('a sweep plan is {"cells": [cell, ...]}')
     records = []
     for idx, cell in enumerate(plan.get("cells", [])):
         cell = dict(cell)
@@ -150,6 +157,9 @@ def run_sweep(plan):
         overrides = cell.pop("constants", None)
         preset = cell.pop("preset", "scaled")
         try:
+            unknown = set(cell) - CELL_KEYS
+            if unknown:
+                raise ConfigError("unknown cell keys: %s" % ", ".join(sorted(unknown)))
             constants = build_constants(overrides, preset)
         except ConfigError as e:
             records.append({"cell": idx, "error": str(e)})

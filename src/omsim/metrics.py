@@ -31,22 +31,23 @@ class Metrics:
     @classmethod
     def from_engine(cls, eng):
         trace = eng.trace
-        ops = trace.operative_counts
+        rounds = trace.rounds
+        ops = [r.operative for r in rounds]
         boundaries = eng.protocol_meta.get("epoch_boundaries", ())
         per_epoch = []
         for i, r in enumerate(boundaries):
-            if 1 <= r <= len(trace.rounds):
+            if 1 <= r <= len(rounds):
                 per_epoch.append({
                     "epoch": i + 1,
                     "end_round": r,
-                    "operative": trace.rounds[r - 1].operative,
+                    "operative": ops[r - 1],
                 })
         return cls(
             T=eng.round,
-            comm_bits=eng.comm_bits,
-            sent_msgs=eng.sent_msgs,
-            omitted_msgs=eng.omitted_msgs,
-            delivered_msgs=eng.delivered_msgs,
+            comm_bits=sum(r.bits for r in rounds),
+            sent_msgs=sum(r.sent for r in rounds),
+            omitted_msgs=sum(r.omitted for r in rounds),
+            delivered_msgs=sum(r.delivered for r in rounds),
             R_accesses=eng.ledger.total_accesses,
             R_bits=eng.ledger.total_bits,
             per_round_rand=dict(eng.ledger.per_round),
@@ -59,12 +60,18 @@ class Metrics:
         )
 
     def revalidate(self, trace):
-        """Recompute the tallies from the trace; any mismatch is a bug."""
+        """Recount the tallies from the trace; any mismatch is a bug.  Where
+        the messages were recorded (record_level >= 1), each round's counts
+        are redone from its message lists."""
         assert self.T == len(trace.rounds)
-        assert self.comm_bits == sum(r.bits for r in trace.rounds)
-        assert self.sent_msgs == sum(r.sent for r in trace.rounds)
-        assert self.omitted_msgs == sum(r.omitted for r in trace.rounds)
         assert self.R_accesses == sum(r.rand_accesses for r in trace.rounds)
+        for r in trace.rounds:
+            if r.messages is None:
+                continue
+            assert r.sent == len(r.messages), "round %d: sent" % r.index
+            assert r.bits == sum(m.bits for m in r.messages), "round %d: bits" % r.index
+            assert r.omitted == len(r.omitted_messages), "round %d: omitted" % r.index
+            assert r.delivered == r.sent - r.omitted, "round %d: delivered" % r.index
         return True
 
 

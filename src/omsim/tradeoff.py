@@ -15,35 +15,24 @@ flags stays inside them.
 """
 
 from .engine import ConfigError, log2_ceil
-from .consensus import main_core
-from .fallback import run_fallback
-from .graphs import GraphConfig, generate
-from .groups import Instance, ProtoState
-from .params import Constants
+from .consensus import checked_constants, closing, decide_candidate, disseminate, main_core
+from .groups import Instance, ProtoState, delivery_rule, overlay, split_blocks
+# unused here, but perfbench/tracing.py patches both names in this module
+from .fallback import run_fallback  # noqa: F401
+from .graphs import generate  # noqa: F401
 
 
 def split_super_processes(n, x):
     """x contiguous blocks covering 1..n, sizes within one of n // x."""
-    base, extra = divmod(n, x)
-    blocks = []
-    at = 1
-    for i in range(x):
-        size = base + (1 if i < extra else 0)
-        blocks.append(tuple(range(at, at + size)))
-        at += size
-    return [b for b in blocks if b]
+    return split_blocks(tuple(range(1, n + 1)), x)
 
 
 class TradeoffConsensus:
     name = "tradeoff"
 
     def __init__(self, config, x=1, provenance=False):
-        constants = config.params if config.params is not None else Constants()
+        constants = checked_constants(config, "tradeoff_fault_bound")
         n, t = config.n, config.t
-        if t * constants.tradeoff_fault_bound >= n:
-            raise ConfigError(
-                "fault bound violated: need t < n/%d, got t=%d n=%d"
-                % (constants.tradeoff_fault_bound, t, n))
         if not 1 <= x <= n:
             raise ConfigError("x must be in [1, n]")
         self.config = config
@@ -51,25 +40,17 @@ class TradeoffConsensus:
         self.x = x
         self.supers = split_super_processes(n, x)
 
-        # each inner run is a private, untracked main-protocol instance on
-        # its super-process, with the fault budget scaled to the block size
+        # each inner run is a main-protocol instance on its super-process,
+        # with the fault budget scaled to the block size
         self.inner = []
         for i, block in enumerate(self.supers, start=1):
             t_inner = max(0, min(t, len(block) // constants.main_fault_bound - 1))
             self.inner.append(Instance(block, t_inner, config.seed, constants,
-                                       provenance=provenance, graph_tag=i,
-                                       tracked=False))
+                                       provenance=provenance, graph_tag=i))
         self.inner_rounds = [inst.epochs * inst.epoch_rounds + 1 for inst in self.inner]
 
-        L = log2_ceil(n)
-        self.flooding_rounds = max(1, int(-(-constants.flooding_coeff * L // 1)))
-        self.delta = min(max(1, int(round(constants.delta_coeff * L))), n - 1)
-        if n > 1:
-            g = generate(GraphConfig(n=n, delta=self.delta,
-                                     seed=(config.seed * 1000003) & (2 ** 63 - 1)))
-            self.neighbors = {p: g.neighbors(p) for p in range(1, n + 1)}
-        else:
-            self.neighbors = {1: ()}
+        self.flooding_rounds = max(1, int(-(-constants.flooding_coeff * log2_ceil(n) // 1)))
+        self.delta, self.neighbors = overlay(tuple(range(1, n + 1)), constants, config.seed)
 
         self.phase_budgets = [r + self.flooding_rounds for r in self.inner_rounds]
         self.closed_form_T = sum(self.phase_budgets) + 3
@@ -99,9 +80,7 @@ class TradeoffConsensus:
         return self.closed_form_T + self.config.t + 8
 
     def run(self, ctx):
-        ctx.state["operative"] = True
-        ctx.state["b"] = ctx.input
-        st = ProtoState(ctx.input)
+        st = ctx.state
         divisor = self.constants.inoperative_divisor
         active = list(self.neighbors[ctx.pid])
         # capped by the actual degree, as in the gossip delivery rule
@@ -109,6 +88,7 @@ class TradeoffConsensus:
 
         for inst, inner_rounds in zip(self.inner, self.inner_rounds):
             if st.operative and ctx.pid in inst.member_set:
+                # the inner run's operative flags stay private to it
                 ist = ProtoState(st.b)
                 informed = yield from main_core(inst, ctx, ist)
                 cd = ist.b if (ist.decided or informed) else None
@@ -131,11 +111,6 @@ class TradeoffConsensus:
                     got.add(s)
                     if payload[1] is not None and best is None:
                         best = (s, payload[1])
-                if len(got) < len(active):
-                    for q in active:
-                        if q not in got:
-                            st.disregarded.add(q)
-                    active = [q for q in active if q in got]
                 if best is not None:
                     if cd is None:
                         cd = best[1]
@@ -145,60 +120,22 @@ class TradeoffConsensus:
                         ctx.note("flood_conflict", True)
                         if best[0] < ctx.pid:
                             cd = best[1]
-                if len(got) * divisor < threshold:
-                    st.operative = False
-                    ctx.mark_inoperative()
+                active = delivery_rule(st, active, got, threshold, divisor)
             if st.operative and cd is not None:
                 st.b = cd
-                ctx.state["b"] = st.b
 
-        # safety rule: one exchange of candidate bits among the operative
+        # safety rule: one exchange of candidate bits among the operative;
+        # the middle band keeps the current bit, so it draws no coin
         others = [q for q in range(1, ctx.n + 1) if q != ctx.pid]
         if st.operative:
             ctx.broadcast(others, ("sv", st.b), 1)
         inbox = yield
-        decided = False
         if st.operative:
             ones = sum(1 for _, pl in inbox if pl[0] == "sv" and pl[1] == 1)
             zeros = sum(1 for _, pl in inbox if pl[0] == "sv" and pl[1] == 0)
-            total = ones + zeros
-            if total:
-                c = self.constants
-                if ones * c.set_one[1] > c.set_one[0] * total:
-                    st.b = 1
-                elif ones * c.set_zero[1] < c.set_zero[0] * total:
-                    st.b = 0
-                decided = (ones * c.decide_hi[1] > c.decide_hi[0] * total
-                           or ones * c.decide_lo[1] < c.decide_lo[0] * total)
-                ctx.state["b"] = st.b
-                ctx.state["decided"] = decided
+            if ones + zeros:
+                st.b, st.decided = decide_candidate(ones, zeros, self.constants,
+                                                    lambda: st.b)
 
-        if st.operative and decided:
-            ctx.broadcast(others, ("dv", st.b), 1)
-        inbox = yield
-        informed = False
-        if not decided:
-            for s, payload in inbox:
-                if payload[0] == "dv":
-                    st.b = payload[1]
-                    informed = True
-                    break
-        if decided:
-            ctx.decide(st.b)
-            return
-        if not st.operative:
-            if informed:
-                ctx.decide(st.b)
-                return
-            for _ in range(self.config.t + 3):
-                inbox = yield
-                for s, payload in inbox:
-                    if payload[0] == "fd":
-                        ctx.decide(payload[1])
-                        return
-            return
-
-        ctx.note("fallback", True)
-        value = yield from run_fallback(ctx, st.b, self.config.t, others)
-        ctx.broadcast(others, ("fd", value), 1)
-        ctx.decide(value)
+        informed = yield from disseminate(ctx, st, others)
+        yield from closing(ctx, st, informed, self.config.t, others)

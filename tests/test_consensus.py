@@ -43,6 +43,11 @@ def test_fault_bound_enforced():
     cfg = SystemConfig(n=30, t=1, seed=1, inputs=(0,) * 30, params=scaled())
     with pytest.raises(ConfigError):
         MainConsensus(cfg)
+    # a voting gap that does not cover 3t/n
+    no_gap = scaled().with_(set_one=(15, 30), set_zero=(15, 30))
+    cfg = SystemConfig(n=64, t=2, seed=1, inputs=(0,) * 64, params=no_gap)
+    with pytest.raises(ConfigError):
+        MainConsensus(cfg)
 
 
 # --- fault-free executions -----------------------------------------------

@@ -25,7 +25,6 @@ class Echo:
 
     def run(self, ctx):
         n = ctx.n
-        ctx.state["operative"] = True
         others = [q for q in range(1, n + 1) if q != ctx.pid]
         ctx.broadcast(others, ("bit", ctx.input), 1)
         inbox = yield
@@ -37,7 +36,6 @@ class Coin(Echo):
     """Draws one random bit before deciding, to exercise the ledger."""
 
     def run(self, ctx):
-        ctx.state["operative"] = True
         b = ctx.rand_bit()
         ctx.broadcast([q for q in range(1, ctx.n + 1) if q != ctx.pid], ("bit", b), 1)
         inbox = yield
@@ -195,3 +193,7 @@ def test_metrics_revalidate_and_trace_verify():
     dec, trace, m = run_execution(cfg, Echo, OmitAllFromOne(), record_level=1)
     assert m.revalidate(trace)
     assert trace.verify(cfg.t)
+    # the recount reads the recorded messages, so a tampered tally fails it
+    trace.rounds[0].bits += 1
+    with pytest.raises(AssertionError):
+        m.revalidate(trace)

@@ -21,8 +21,7 @@ class OneEpoch:
         return self.inst.epoch_rounds + 3
 
     def run(self, ctx):
-        ctx.state["operative"] = True
-        st = ProtoState(ctx.input)
+        st = ctx.state
         gpair = yield from group_bits_aggregation(self.inst, ctx, st)
         pair = yield from group_bits_spreading(self.inst, ctx, st, gpair)
         if pair is None:

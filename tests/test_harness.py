@@ -145,3 +145,59 @@ def test_cli_run_crash_with_schedule_file(tmp_path):
     assert res.exit_code == 0, res.output
     rec = json.loads(res.output)
     assert rec["corrupted"] == {"2": 1}
+
+
+def assert_config_exit(res):
+    """Exit 2 with a one-line message, no traceback."""
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+
+
+@pytest.mark.parametrize("extra", [
+    ["--adversary", "eclipse", "--targets", "70"],
+    ["--adversary", "eclipse", "--targets", "0"],
+    ["--adversary", "eclipse", "--targets=-1"],
+    ["--adversary", "eclipse", "--targets", "1,x"],
+    ["--adversary", "eclipse", "--rotation", "0"],
+    ["--adversary", "coin-biaser", "--direction", "5"],
+])
+def test_cli_bad_adversary_options_exit_2(extra):
+    res = CliRunner().invoke(cli_main, ["run", "-n", "64", "-t", "2"] + extra)
+    assert_config_exit(res)
+
+
+@pytest.mark.parametrize("text", ["1: 70\n", "1: 0\n", "one: 2\n"])
+def test_cli_bad_crash_schedule_exit_2(tmp_path, text):
+    sched = tmp_path / "sched.txt"
+    sched.write_text(text)
+    res = CliRunner().invoke(cli_main, ["run", "-n", "64", "-t", "2",
+                                        "--adversary", "crash",
+                                        "--schedule", str(sched)])
+    assert_config_exit(res)
+
+
+def test_cli_coin_game_over_budget_exit_2():
+    assert_config_exit(CliRunner().invoke(cli_main, ["coin-game", "--k", "30"]))
+
+
+def test_cli_malformed_json_exit_2(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    runner = CliRunner()
+    assert_config_exit(runner.invoke(cli_main, ["sweep", str(bad)]))
+    assert_config_exit(runner.invoke(cli_main, ["run", "-n", "31", "-t", "1",
+                                                "--config", str(bad)]))
+    bad.write_text("[1, 2]")
+    assert_config_exit(runner.invoke(cli_main, ["sweep", str(bad)]))
+
+
+def test_run_sweep_unknown_cell_key_is_that_cells_error():
+    records = run_sweep({"cells": [
+        {"n": 31, "t": 1, "adversry": "crash", "seeds": 2},
+        {"n": 31, "t": 1, "seeds": 1},
+    ]})
+    assert len(records) == 2
+    assert records[0] == {"cell": 0, "error": "unknown cell keys: adversry"}
+    assert records[1]["cell"] == 1 and "error" not in records[1]

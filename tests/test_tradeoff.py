@@ -26,6 +26,10 @@ def test_bounds_enforced():
         TradeoffConsensus(cfg, x=0)
     with pytest.raises(ConfigError):
         TradeoffConsensus(cfg, x=62)
+    no_gap = scaled().with_(set_one=(15, 30), set_zero=(15, 30))
+    cfg = SystemConfig(n=61, t=1, seed=1, inputs=(0,) * 61, params=no_gap)
+    with pytest.raises(ConfigError):
+        TradeoffConsensus(cfg, x=1)
 
 
 def test_unanimous_inputs_no_faults():
