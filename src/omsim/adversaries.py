@@ -69,10 +69,7 @@ def load_schedule(text):
         if not line or line.startswith("#"):
             continue
         head, _, rest = line.partition(":")
-        try:
-            schedule[int(head)] = frozenset(int(x) for x in rest.split())
-        except ValueError:
-            raise ConfigError("bad schedule line %r" % line)
+        schedule[int(head)] = frozenset(int(x) for x in rest.split())
     return schedule
 
 

@@ -86,14 +86,14 @@ def run(n, t, seed, protocol, x, adversary, schedule, targets, rotation,
     overrides = load_json(config_path) if config_path else None
     constants = harness.build_constants(overrides, preset)
     opts = {"rotation": rotation, "direction": direction}
-    if schedule:
-        with open(schedule) as fh:
-            opts["schedule"] = load_schedule(fh.read())
-    if targets:
-        try:
+    try:
+        if schedule:
+            with open(schedule) as fh:
+                opts["schedule"] = load_schedule(fh.read())
+        if targets:
             opts["targets"] = tuple(int(p) for p in targets.split(","))
-        except ValueError:
-            raise ConfigError("--targets takes comma-separated pids, got %r" % targets)
+    except ValueError as e:
+        raise ConfigError("--schedule and --targets take integer pids: %s" % e)
     rec = harness.run_record(n=n, t=t, seed=seed, protocol=protocol, x=x,
                              adversary=adversary, adversary_opts=opts,
                              constants=constants, inputs=inputs)

@@ -14,6 +14,8 @@ whatever the truncated inner runs conclude about their private operative
 flags stays inside them.
 """
 
+from collections import Counter
+
 from .engine import ConfigError, log2_ceil
 from .consensus import checked_constants, closing, decide_candidate, disseminate, main_core
 from .groups import Instance, ProtoState, delivery_rule, overlay, split_blocks
@@ -129,13 +131,12 @@ class TradeoffConsensus:
         others = [q for q in range(1, ctx.n + 1) if q != ctx.pid]
         if st.operative:
             ctx.broadcast(others, ("sv", st.b), 1)
-        inbox = yield
-        if st.operative:
-            ones = sum(1 for _, pl in inbox if pl[0] == "sv" and pl[1] == 1)
-            zeros = sum(1 for _, pl in inbox if pl[0] == "sv" and pl[1] == 0)
-            if ones + zeros:
-                st.b, st.decided = decide_candidate(ones, zeros, self.constants,
-                                                    lambda: st.b)
+        # tallied without naming the inbox, so no (n - 1)-entry list stays
+        # referenced from this frame through the closing rounds
+        votes = Counter(pl[1] for _, pl in (yield) if pl[0] == "sv")
+        if st.operative and votes:
+            st.b, st.decided = decide_candidate(votes[1], votes[0], self.constants,
+                                                lambda: st.b)
 
         informed = yield from disseminate(ctx, st, others)
         yield from closing(ctx, st, informed, self.config.t, others)
