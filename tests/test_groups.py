@@ -119,13 +119,17 @@ class SilenceSet(AdversaryStrategy):
 def test_silenced_source_goes_inoperative_and_count_drops():
     inputs = tuple(1 if i % 2 == 1 else 0 for i in range(1, 26))
     inst, (dec, trace, m) = run_one_epoch(25, 1, inputs, seed=2,
-                                          adversary=SilenceSet({2}))
+                                          adversary=SilenceSet({2}), record_level=2)
     # pid 2's zero never leaves it: group (1..5) aggregates without it
     assert dec[1][0] == (13, 11)
     for pid in range(3, 26):
         assert dec[pid][0] == (13, 11)
     assert dec[2][0] == ("none",)
     assert m.operative_final == 24
+    # the per-round count is read off the same states the snapshot shows
+    last = trace.rounds[-1].states
+    assert last[2] == {"b": 0, "operative": False, "decided": False, "epoch": 0}
+    assert sum(s["operative"] for s in last.values()) == 24
     assert trace.verify(1)
 
 
