@@ -5,7 +5,9 @@ refactor that changes what a record says.  This plan pins the records
 themselves.  Its cells cover the in-epoch decision with coin draws, the
 fallback, unanimity, the three adversaries, a liveness-failure error
 record, both trade-off shapes, and the only cells known where non-faulty
-processes decide by waiting for a fallback announcement (`fd`).
+processes decide by waiting for a fallback announcement (`fd`).  The last
+two cells run 4-stage group trees (n=256) in which relay sources go
+inoperative mid-run, crashed from round 1 or eclipsed in turn.
 
 A record that legitimately changes (a new field, a fixed bug) needs its
 hash re-pinned here, with the reason said in the change that does it.
@@ -41,6 +43,10 @@ PLAN = {"cells": [
      "seeds": [0]},
     {"protocol": "tradeoff", "x": 1, "n": 128, "t": 2, "preset": A,
      "adversary": "crash", "constants": NO_GOSSIP_FLOOR, "seeds": [1]},
+    {"protocol": "main", "n": 256, "t": 8, "preset": A, "adversary": "crash",
+     "seeds": [0, 1]},
+    {"protocol": "main", "n": 256, "t": 8, "preset": A, "adversary": "eclipse",
+     "seeds": [2]},
 ]}
 
 GOLDEN = [
@@ -56,6 +62,9 @@ GOLDEN = [
     "18137cdd06145082a9978b3d38f1ae80ef05c3348e6b3cbc38254314a7856b22",
     "ef98e40b9b1f918838c3ccacb7069097d3eb026c1a636c13274f99a21edf4c78",
     "fefb2ee84c1431420069fc0df9e4a03f9da9cafd5dd1acce338e2cb83456d919",
+    "e8913c2a48cc928555e4936e63595303a553331b2a0a48aafb6427380b1a9ae8",
+    "d0c63ba48d0b9ee3a5d752a93d27a7d7dc357a92b231efb535cafd9aac78c46c",
+    "913c04cd47bb3a266e3ca7e1685739d58a9e46db38ac2b5621d19a4f8348b2ba",
 ]
 
 
