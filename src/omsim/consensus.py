@@ -61,8 +61,9 @@ def decide_candidate(ones, zeros, constants, draw):
     return b, decided
 
 
-def main_core(inst, ctx, st):
-    """The epoch loop plus the single dissemination round, as a generator.
+def main_core(inst, ctx, st, targets):
+    """The epoch loop plus the single dissemination round to `targets`, as
+    a generator.
 
     Shared between the standalone protocol and the trade-off protocol's
     super-process phases (which stop right here). Returns True iff an
@@ -76,7 +77,7 @@ def main_core(inst, ctx, st):
         if st.operative and pair is not None:
             ones, zeros = inst.val(pair[0]), inst.val(pair[1])
             st.b, st.decided = decide_candidate(ones, zeros, inst.constants, ctx.rand_bit)
-    return (yield from disseminate(ctx, st, [q for q in inst.members if q != ctx.pid]))
+    return (yield from disseminate(ctx, st, targets))
 
 
 def disseminate(ctx, st, targets):
@@ -151,6 +152,6 @@ class MainConsensus:
 
     def run(self, ctx):
         st = ctx.state
-        informed = yield from main_core(self.inst, ctx, st)
-        targets = [q for q in self.inst.members if q != ctx.pid]
+        targets = self.inst.others(ctx.pid)
+        informed = yield from main_core(self.inst, ctx, st, targets)
         yield from closing(ctx, st, informed, self.config.t, targets)

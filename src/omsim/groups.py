@@ -9,16 +9,29 @@ All routines are generators driven by the engine through the owning
 protocol's generator (`yield from`).  They are written against an Instance,
 which precomputes the partition, trees, overlay neighborhoods and round
 schedule for one consensus scope; the trade-off protocol instantiates these
-on super-process subsets.
+on super-process subsets.  The Instance also builds, once, the tables the
+relay reads on every call (`relay_tables`): per stage, each member's
+`(bag, side)` role, and each member's group peers.  The gossip carries each
+group's pair as one `(i, ones, zeros)` entry tuple, built once by the
+group's members and then shared by every payload and every receiver.
 
 Counts support a provenance mode used by tests: instead of integers they
 become frozensets of contributing process ids, with identical control flow,
 so contribution invariants can be asserted on real runs.
 """
 
+from bisect import bisect_left
+from itertools import filterfalse
+from operator import itemgetter
+
 from .engine import ProtoState  # noqa: F401  (re-exported: the routines' `st`)
 from .engine import count_bits, group_index_bits, isqrt_ceil, log2_ceil
 from .graphs import GraphConfig, generate
+
+
+RK = ("rk",)               # the one relay confirmation payload
+_payload = itemgetter(1)   # (sender, payload) -> payload
+_index = itemgetter(0)     # gossip entry (i, ones, zeros) -> i
 
 
 def split_blocks(members, m):
@@ -69,9 +82,39 @@ def overlay(members, constants, seed, graph_tag=0):
                    for i, p in enumerate(members, start=1)}
 
 
+def relay_tables(groups, trees):
+    """The relay's static tables over a partition and its trees.
+
+    roles[stage][pid] is pid's bag at that layer of its group's tree and
+    the side ("L" or "R") of the child bag it sits in; roles[0] is empty,
+    and a group with a shallower tree is absent from the deeper stages.
+    All members of one child bag share one (bag, side) tuple.  peers[pid]
+    is pid's group without pid, in order.
+    """
+    roles = [{} for _ in range(max(len(layers) for layers in trees))]
+    peers = {}
+    for group, layers in zip(groups, trees):
+        for i, p in enumerate(group):
+            peers[p] = group[:i] + group[i + 1:]
+        for s in range(1, len(layers)):
+            table, prev = roles[s], layers[s - 1]
+            for bi, bag in enumerate(layers[s]):
+                for side, child in zip("LR", prev[2 * bi:2 * bi + 2]):
+                    role = (bag, side)
+                    for p in child:
+                        table[p] = role
+    return roles, peers
+
+
 class Instance:
     """Everything shared by one consensus scope: membership, the group
-    partition and trees, the overlay graph, and the round schedule."""
+    partition and trees, the overlay graph, and the round schedule.
+
+    It also holds the relay's tables from `relay_tables`, built once here:
+    `roles[stage][pid]` is pid's `(bag, side)` at that stage of its group's
+    tree, and `peers[pid]` is pid's group without pid.  The relay merges
+    round-1 counts keyed by the shared `(bag, side)` tuple.
+    """
 
     def __init__(self, members, t, seed, constants, provenance=False, graph_tag=0):
         self.members = tuple(sorted(members))
@@ -101,18 +144,12 @@ class Instance:
         self.cb = count_bits(self.k)
         self.gib = group_index_bits(self.k)
 
-        # static relay roles: for each group member and stage, its bag at the
-        # next layer and whether it sits in the left or right child
-        self.stage_role = {}
-        for gi, layers in enumerate(self.trees):
-            for s in range(1, len(layers)):
-                bags, prev = layers[s], layers[s - 1]
-                for bi, bag in enumerate(bags):
-                    left = prev[2 * bi]
-                    right = prev[2 * bi + 1] if 2 * bi + 1 < len(prev) else ()
-                    for p in bag:
-                        side = "L" if p in left else "R"
-                        self.stage_role[(p, s)] = (bag, side)
+        self.roles, self.peers = relay_tables(self.groups, self.trees)
+
+    def others(self, pid):
+        """Every member but pid, as one tuple."""
+        i = bisect_left(self.members, pid)
+        return self.members[:i] + self.members[i + 1:]
 
     # --- count algebra: ints normally, id sets in provenance mode --------
     def zero(self):
@@ -144,67 +181,66 @@ def group_relay(inst, ctx, st, stage, counts_in):
     merged {side: (ones, zeros)} for p's bag, or None if p is not a source
     or went inoperative.
     """
-    group = inst.groups[inst.group_of[ctx.pid]]
-    W = len(group)
-    others = [q for q in group if q != ctx.pid]
+    pid = ctx.pid
+    peers = inst.peers[pid]
+    W = len(peers) + 1
+    roles = inst.roles[stage]
+    my_bag = roles[pid][0]
     pair_bits = 2 * inst.cb
     sourcing = st.operative and counts_in is not None
 
     # round 1: sources -> group
     if sourcing:
-        side, ones, zeros = counts_in
-        ctx.broadcast(others, ("rc", side, ones, zeros), 1 + pair_bits)
+        own = ("rc",) + counts_in
+        ctx.broadcast(peers, own, 1 + pair_bits)
     inbox = yield
 
-    # transmitter merge, own contribution first so it wins its own side slot
-    merged = {}          # (bag, side) keyed by the sender's static role
+    # transmitter merge, own contribution first so its bag leads round 3:
+    # role -> (sender, payload) of the role's lowest sender
+    merged = {roles[pid]: (pid, own)} if sourcing else {}
     heard = []
-    if sourcing:
-        bag, _ = inst.stage_role[(ctx.pid, stage)]
-        merged[(bag, counts_in[0])] = (counts_in[1], counts_in[2], ctx.pid)
-    for s, payload in inbox:
-        if payload[0] != "rc":
-            continue
-        heard.append(s)
-        role = inst.stage_role.get((s, stage))
-        if role is None:
-            continue
-        bag, side = role
-        key = (bag, side)
-        prev = merged.get(key)
-        if prev is None or s < prev[2]:
-            merged[key] = (payload[2], payload[3], s)
+    for item in inbox:
+        s, payload = item
+        if payload[0] == "rc":
+            heard.append(s)
+            role = roles[s]
+            first = merged.get(role)
+            if first is None or s < first[0]:
+                merged[role] = item
 
     # round 2: confirmations back to the sources we heard
-    ctx.broadcast(heard, ("rk",), 1)
+    ctx.broadcast(heard, RK, 1)
     inbox = yield
     if sourcing:
-        confirmations = 1 + sum(1 for _, payload in inbox if payload[0] == "rk")
+        confirmations = 1 + list(map(_payload, inbox)).count(RK)
         if 2 * confirmations < W + 2:
             st.operative = False
             sourcing = False
 
     # round 3: merged sets to every potential source of each bag we hold
     by_bag = {}
-    for (bag, side), (ones, zeros, origin) in merged.items():
-        by_bag.setdefault(bag, []).append((side, ones, zeros))
+    for (bag, _), (_, payload) in merged.items():
+        by_bag.setdefault(bag, []).append(payload[1:])
     for bag, entries in by_bag.items():
-        entries = tuple(sorted(entries))
-        bits = sum(1 + pair_bits for _ in entries)
-        ctx.broadcast([q for q in bag if q != ctx.pid], ("rm", entries), bits)
+        entries = by_bag[bag] = tuple(sorted(entries))
+        if bag is my_bag:
+            i = bag.index(pid)
+            bag = bag[:i] + bag[i + 1:]
+        ctx.broadcast(bag, ("rm", entries), len(entries) * (1 + pair_bits))
     inbox = yield
     if not sourcing:
         return None
 
-    my_bag, _ = inst.stage_role[(ctx.pid, stage)]
+    # own merged copy counts toward the majority too
     candidates = [(s, payload[1]) for s, payload in inbox if payload[0] == "rm"]
-    if my_bag in by_bag:   # own merged copy counts toward the majority too
-        candidates.append((ctx.pid, tuple(sorted(by_bag[my_bag]))))
-        candidates.sort()
+    candidates.append((pid, by_bag[my_bag]))
+    candidates.sort()
     result = {}
     for _, entries in candidates:   # ascending sender id, first write wins
         for side, ones, zeros in entries:
             result.setdefault(side, (ones, zeros))
+        if len(result) == 2:
+            break                   # both sides settled: the rest are no-ops
     if 2 * len(candidates) < W + 2:
         st.operative = False
         return None
@@ -235,8 +271,7 @@ def group_bits_aggregation(inst, ctx, st):
                 yield
             continue
         if st.operative and ones is not None:
-            _, side = inst.stage_role[(ctx.pid, stage)]
-            counts_in = (side, ones, zeros)
+            counts_in = (inst.roles[stage][ctx.pid][1], ones, zeros)
         else:
             counts_in = None
         merged = yield from group_relay(inst, ctx, st, stage, counts_in)
@@ -275,63 +310,76 @@ def group_bits_spreading(inst, ctx, st, gpair):
     idles it for this and all later epochs.  Returns (ones, zeros) summed
     over the filled entries, or None for a process that is (or became)
     inoperative.
+
+    Group i's entry is the tuple (i, ones, zeros), built once by its own
+    members; every payload that carries it, and every receiver that stores
+    it, holds that same tuple.
+
+    What an edge has not carried needs no per-edge memory.  Every neighbor
+    was offered all of `filled` up to the last round, so only the entries
+    learned in the last round are candidates; of those, the edge carried
+    exactly the ones that neighbor sent p in the last round.
     """
-    packs = [None] * inst.m
-    filled = []   # indices in arrival order, for cheap per-edge freshness
+    entries = [None] * inst.m   # group index -> its entry, once known
+    filled = []   # indices in arrival order
     if st.operative and gpair is not None:
         gi = inst.group_of[ctx.pid]
-        packs[gi] = gpair
+        entries[gi] = (gi,) + gpair
         filled.append(gi)
-    active = [q for q in inst.neighbors[ctx.pid] if q not in st.disregarded]
-    shared = {q: set() for q in active}   # entries the edge carried, either way
-    sent_upto = {q: 0 for q in active}    # prefix of `filled` already offered
+    disregarded = st.disregarded
+    active = [q for q in inst.neighbors[ctx.pid] if q not in disregarded]
+    offered = 0      # prefix of `filled` already offered to every neighbor
+    last = {}        # neighbor -> entries it sent p in the last round
     entry_bits = inst.gib + 2 * inst.cb
     # capped by the actual degree so a sparse corner of the overlay is not
     # blamed on its tenant
     threshold = min(inst.delta, len(inst.neighbors[ctx.pid]))
     divisor = inst.constants.inoperative_divisor
+    m = inst.m
 
     for _ in range(inst.spreading_rounds):
         if not st.operative:
             yield
             continue
-        nf = len(filled)
+        new = filled[offered:]
+        offered = len(filled)
         empties = []
-        for q in active:
-            if sent_upto[q] < nf:
-                seen = shared[q]
-                fresh = tuple((i,) + packs[i] for i in filled[sent_upto[q]:nf]
-                              if i not in seen)
-                sent_upto[q] = nf
-            else:
-                fresh = ()
-            if fresh:
-                ctx.send(q, ("sp", fresh), len(fresh) * entry_bits)
-            else:
-                empties.append(q)
+        if new:
+            for q in active:
+                fresh = tuple(map(entries.__getitem__, filterfalse(
+                    set(map(_index, last.get(q, ()))).__contains__, new)))
+                if fresh:
+                    ctx.send(q, ("sp", fresh), len(fresh) * entry_bits)
+                else:
+                    empties.append(q)
+        else:
+            empties = active
         if empties:
             # an empty pack update still signals liveness on the edge
             ctx.broadcast(empties, ("sp", ()), 0)
         inbox = yield
         got = set()
+        last = {}
         for s, payload in inbox:
-            if payload[0] != "sp" or s in st.disregarded:
+            if payload[0] != "sp" or s in disregarded:
                 continue
             got.add(s)
-            seen = shared.get(s)
-            for e in payload[1]:
-                i = e[0]
-                if seen is not None:
-                    seen.add(i)
-                if packs[i] is None:
-                    packs[i] = e[1:]
-                    filled.append(i)
+            fresh = payload[1]
+            if not fresh:
+                continue
+            last[s] = fresh
+            if len(filled) < m:
+                for e in fresh:
+                    i = e[0]
+                    if entries[i] is None:
+                        entries[i] = e
+                        filled.append(i)
         active = delivery_rule(st, active, got, threshold, divisor)
     if not st.operative:
         return None
     ones = zeros = inst.zero()
-    for e in packs:
+    for e in entries:
         if e is not None:
-            ones = inst.add(ones, e[0])
-            zeros = inst.add(zeros, e[1])
+            ones = inst.add(ones, e[1])
+            zeros = inst.add(zeros, e[2])
     return ones, zeros

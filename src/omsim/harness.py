@@ -26,6 +26,28 @@ from .params import Constants, acceptance, scaled
 from .tradeoff import TradeoffConsensus
 
 
+def is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def checked_constant(key, value, default):
+    """value as a constant of default's type: an integer, a number (for a
+    float default) or a [numerator, denominator > 0] integer pair."""
+    if isinstance(default, tuple):
+        if (isinstance(value, (list, tuple)) and len(value) == 2
+                and all(map(is_int, value)) and value[1] > 0):
+            return tuple(value)
+        raise ConfigError("constant %s must be a [numerator, denominator] integer "
+                          "pair with a positive denominator, got %r" % (key, value))
+    if isinstance(default, float):
+        if is_int(value) or isinstance(value, float):
+            return value
+        raise ConfigError("constant %s must be a number, got %r" % (key, value))
+    if is_int(value):
+        return value
+    raise ConfigError("constant %s must be an integer, got %r" % (key, value))
+
+
 def build_constants(overrides=None, preset="default"):
     if preset == "default":
         base = Constants()
@@ -34,18 +56,18 @@ def build_constants(overrides=None, preset="default"):
     elif preset == "acceptance":
         base = acceptance()
     else:
-        raise ConfigError("unknown preset %r" % preset)
+        raise ConfigError("unknown preset %r" % (preset,))
+    if overrides is not None and not isinstance(overrides, dict):
+        raise ConfigError("constants must be an object of name: value, got %r"
+                          % (overrides,))
     if not overrides:
         return base
-    overrides = dict(overrides)
-    for key in ("set_one", "set_zero", "decide_hi", "decide_lo"):
-        if key in overrides:
-            overrides[key] = tuple(overrides[key])
-    known = set(asdict(base))
-    unknown = set(overrides) - known
+    defaults = asdict(base)
+    unknown = set(overrides) - set(defaults)
     if unknown:
         raise ConfigError("unknown constants: %s" % ", ".join(sorted(unknown)))
-    return base.with_(**overrides)
+    return base.with_(**{key: checked_constant(key, value, defaults[key])
+                         for key, value in overrides.items()})
 
 
 def resolve_inputs(spec, n):
@@ -140,6 +162,16 @@ def run_record(n, t, seed, protocol="main", x=1, adversary="none",
 
 # what a sweep cell may hold besides "seeds", "constants" and "preset"
 CELL_KEYS = frozenset(inspect.signature(run_record).parameters) - {"seed", "constants"}
+INT_CELL_KEYS = ("n", "t", "x", "record_level")
+
+
+def cell_seeds(seeds):
+    """A cell's "seeds": a count or a list of integer seeds."""
+    if is_int(seeds):
+        return list(range(seeds))
+    if isinstance(seeds, list) and all(map(is_int, seeds)):
+        return seeds
+    raise ConfigError('"seeds" must be a count or a list of integers, got %r' % (seeds,))
 
 
 def run_sweep(plan):
@@ -150,16 +182,19 @@ def run_sweep(plan):
         raise ConfigError('a sweep plan is {"cells": [cell, ...]}')
     records = []
     for idx, cell in enumerate(plan.get("cells", [])):
-        cell = dict(cell)
-        seeds = cell.pop("seeds", 1)
-        if isinstance(seeds, int):
-            seeds = list(range(seeds))
-        overrides = cell.pop("constants", None)
-        preset = cell.pop("preset", "scaled")
         try:
+            if not isinstance(cell, dict):
+                raise ConfigError("a cell is an object, got %r" % (cell,))
+            cell = dict(cell)
+            seeds = cell_seeds(cell.pop("seeds", 1))
+            overrides = cell.pop("constants", None)
+            preset = cell.pop("preset", "scaled")
             unknown = set(cell) - CELL_KEYS
             if unknown:
                 raise ConfigError("unknown cell keys: %s" % ", ".join(sorted(unknown)))
+            bad = [k for k in INT_CELL_KEYS if k in cell and not is_int(cell[k])]
+            if bad:
+                raise ConfigError("cell keys must be integers: %s" % ", ".join(bad))
             constants = build_constants(overrides, preset)
         except ConfigError as e:
             records.append({"cell": idx, "error": str(e)})

@@ -92,7 +92,7 @@ class TradeoffConsensus:
             if st.operative and ctx.pid in inst.member_set:
                 # the inner run's operative flags stay private to it
                 ist = ProtoState(st.b)
-                informed = yield from main_core(inst, ctx, ist)
+                informed = yield from main_core(inst, ctx, ist, inst.others(ctx.pid))
                 cd = ist.b if (ist.decided or informed) else None
             else:
                 for _ in range(inner_rounds):
@@ -128,7 +128,8 @@ class TradeoffConsensus:
 
         # safety rule: one exchange of candidate bits among the operative;
         # the middle band keeps the current bit, so it draws no coin
-        others = [q for q in range(1, ctx.n + 1) if q != ctx.pid]
+        # one tuple, so every broadcast to it shares it rather than copying
+        others = tuple(range(1, ctx.pid)) + tuple(range(ctx.pid + 1, ctx.n + 1))
         if st.operative:
             ctx.broadcast(others, ("sv", st.b), 1)
         # tallied without naming the inbox, so no (n - 1)-entry list stays

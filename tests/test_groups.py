@@ -2,7 +2,7 @@ import pytest
 
 from omsim.engine import AdversaryStrategy, SystemConfig, run_execution
 from omsim.groups import (
-    Instance, ProtoState, build_tree, make_groups,
+    Instance, ProtoState, build_tree, make_groups, relay_tables,
     group_bits_aggregation, group_bits_spreading,
 )
 from omsim.params import scaled
@@ -71,6 +71,40 @@ def test_instance_schedule():
     assert inst.epochs == 3  # ceil(3 * 7 / 10)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 31, 32, 33, 100])
+def test_relay_tables_one_role_per_stage(k):
+    group = tuple(range(10, 10 + k))     # pids need not start at 1
+    layers = build_tree(group)
+    roles, peers = relay_tables([group], [layers])
+    assert len(roles) == len(layers) and roles[0] == {}
+    for p in group:
+        assert peers[p] == tuple(q for q in group if q != p)
+    for s in range(1, len(layers)):
+        table, prev = roles[s], layers[s - 1]
+        assert sorted(table) == list(group)          # exactly one role each
+        bags = sorted({bag for bag, _ in table.values()})
+        assert bags == sorted(layers[s])
+        assert sorted(p for bag in bags for p in bag) == list(group)
+        for bi, bag in enumerate(layers[s]):
+            children = prev[2 * bi:2 * bi + 2]        # build_tree's left, right
+            assert sum(children, ()) == bag
+            for side, child in zip("LR", children):
+                assert {table[p] for p in child} == {(bag, side)}
+                # one tuple object per (bag, side): the relay's merge key
+                assert len({id(table[p]) for p in child}) == 1
+
+
+def test_instance_tables_follow_each_groups_depth():
+    inst = Instance(range(1, 11), 0, 1, scaled())    # groups 3, 3, 2, 2
+    assert inst.stages == 2 and len(inst.roles) == 3
+    for p in inst.members:
+        depth = len(inst.trees[inst.group_of[p]]) - 1
+        assert [p in inst.roles[s] for s in (1, 2)] == [True, depth >= 2]
+        assert inst.others(p) == tuple(q for q in inst.members if q != p)
+    odd = Instance((4, 9, 11), 0, 1, scaled())
+    assert odd.others(9) == (4, 11) and odd.others(4) == (9, 11)
+
+
 # --- fault-free aggregation + spreading ----------------------------------
 
 def test_counts_exact_no_faults():
@@ -99,6 +133,27 @@ def test_provenance_tracks_contributors():
     contributors_one = frozenset(p for p in range(1, 6) if cfg_inputs[p - 1] == 1)
     assert inst2.unit(1) | inst2.unit(4) == frozenset({1, 4})
     assert len(contributors_one) == 3
+
+
+def test_provenance_gossip_entries_are_shared_tuples():
+    inputs = tuple(1 if i % 3 == 0 else 0 for i in range(1, 26))
+    inst, (dec, trace, _) = run_one_epoch(25, 0, inputs, seed=3, provenance=True,
+                                          record_level=1)
+    by_group = {}
+    for rec in trace.rounds:
+        for msg in rec.messages:
+            if msg.payload[0] == "sp":
+                for entry in msg.payload[1]:
+                    by_group.setdefault(entry[0], []).append(entry)
+    assert sorted(by_group) == list(range(inst.m))
+    for i, carried in by_group.items():
+        group = inst.groups[i]
+        ones = frozenset(p for p in group if inputs[p - 1] == 1)
+        zeros = frozenset(group) - ones
+        assert all(e == (i, ones, zeros) for e in carried)
+        # built once per member of group i, then only passed on
+        assert len({id(e) for e in carried}) <= len(group)
+    assert all(v == (8, 17) for v, _ in dec.values())
 
 
 class SilenceSet(AdversaryStrategy):

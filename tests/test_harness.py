@@ -201,3 +201,31 @@ def test_run_sweep_unknown_cell_key_is_that_cells_error():
     assert len(records) == 2
     assert records[0] == {"cell": 0, "error": "unknown cell keys: adversry"}
     assert records[1]["cell"] == 1 and "error" not in records[1]
+
+
+@pytest.mark.parametrize("overrides", [[1], {"delta_coeff": "x"}])
+def test_bad_constant_values_are_config_errors(tmp_path, overrides):
+    with pytest.raises(ConfigError):
+        build_constants(overrides, "scaled")
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps(overrides))
+    assert_config_exit(CliRunner().invoke(cli_main, ["run", "-n", "31", "-t", "1",
+                                                     "--config", str(conf)]))
+
+
+@pytest.mark.parametrize("bad_cell, message", [
+    ({"n": "abc", "t": 1}, "cell keys must be integers: n"),
+    ({"n": 31, "t": 1, "seeds": "x"}, "\"seeds\" must be a count or a list of integers"),
+    (5, "a cell is an object"),
+])
+def test_run_sweep_bad_value_type_is_that_cells_error(tmp_path, bad_cell, message):
+    plan = {"cells": [bad_cell, {"n": 31, "t": 1, "seeds": 1}]}
+    records = run_sweep(plan)
+    assert len(records) == 2
+    assert records[0]["cell"] == 0 and records[0]["error"].startswith(message)
+    assert records[1]["cell"] == 1 and "error" not in records[1]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(plan))
+    res = CliRunner().invoke(cli_main, ["sweep", str(path)])
+    assert res.exit_code == 0, res.output
+    assert res.stderr.strip() == "1 cells errored"
