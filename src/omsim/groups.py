@@ -108,13 +108,9 @@ def relay_tables(groups, trees):
 
 class Instance:
     """Everything shared by one consensus scope: membership, the group
-    partition and trees, the overlay graph, and the round schedule.
-
-    It also holds the relay's tables from `relay_tables`, built once here:
-    `roles[stage][pid]` is pid's `(bag, side)` at that stage of its group's
-    tree, and `peers[pid]` is pid's group without pid.  The relay merges
-    round-1 counts keyed by the shared `(bag, side)` tuple.
-    """
+    partition and trees, the overlay graph, the round schedule, and the
+    relay's `roles[stage][pid] -> (bag, side)` and `peers[pid]` tables
+    (see `relay_tables`), all built once here."""
 
     def __init__(self, members, t, seed, constants, provenance=False, graph_tag=0):
         self.members = tuple(sorted(members))
