@@ -6,7 +6,7 @@ coin-flipping-game oracle for the randomness lower bound.
 """
 
 from .engine import (
-    SystemConfig, Message, RandomnessLedger, ExecutionTrace,
+    SystemConfig, Message, ExecutionTrace,
     AdversaryStrategy, AdversaryAction, AdversaryObservation,
     adversary_view, apply_adversary_action, run_execution,
     ConfigError, AdversaryViolation, LivenessFailure, BudgetExceeded,
@@ -19,10 +19,7 @@ from .groups import Instance, make_groups
 from .consensus import DegenerateInput, MainConsensus, decide_candidate
 from .tradeoff import TradeoffConsensus, split_super_processes
 from .fallback import ChainFlooder, reference_run, run_fallback
-from .adversaries import (
-    strategy_coin_biaser, strategy_crash_as_omission, strategy_eclipse,
-    strategy_none,
-)
+from .adversaries import CoinBiaser, CrashAsOmission, Eclipse
 from .coingame import (
     CoinGame, anti_concentration_check, bias_probability, bias_report,
     hiding_budget, min_hiding,

@@ -19,10 +19,6 @@ def check_pids(pids, n):
         raise ConfigError("pids %s outside 1..%d" % (bad, n))
 
 
-def strategy_none():
-    return AdversaryStrategy()
-
-
 class CrashAsOmission(AdversaryStrategy):
     """Crash failures emulated by omissions: processes corrupted on a fixed
     schedule lose every incoming and outgoing message from then on."""
@@ -31,7 +27,7 @@ class CrashAsOmission(AdversaryStrategy):
 
     def __init__(self, schedule):
         # schedule: round -> iterable of pids
-        self.schedule = {int(r): frozenset(ps) for r, ps in schedule.items() if ps}
+        self.schedule = {r: frozenset(ps) for r, ps in schedule.items() if ps}
         self.crashed = set()
         self._round = 0
 
@@ -57,10 +53,6 @@ class CrashAsOmission(AdversaryStrategy):
         return frozenset(self.crashed)
 
 
-def strategy_crash_as_omission(schedule):
-    return CrashAsOmission(schedule)
-
-
 def load_schedule(text):
     """Parse a crash schedule, one line per round: "round: pid pid ..."."""
     schedule = {}
@@ -81,7 +73,6 @@ class Eclipse(AdversaryStrategy):
     operative detection more than a clean crash does."""
 
     name = "eclipse"
-    has_send_filter = True
 
     def __init__(self, targets, rotation=2):
         if rotation < 1:
@@ -106,10 +97,6 @@ class Eclipse(AdversaryStrategy):
     def send_filter(self, rnd, sender, receivers):
         return tuple(q for i, q in enumerate(receivers)
                      if (i + rnd) % self.rotation != 0)
-
-
-def strategy_eclipse(targets, rotation=2):
-    return Eclipse(targets, rotation=rotation)
 
 
 class CoinBiaser(AdversaryStrategy):
@@ -153,7 +140,3 @@ class CoinBiaser(AdversaryStrategy):
 
     def silenced(self):
         return frozenset(self.taken)
-
-
-def strategy_coin_biaser(direction):
-    return CoinBiaser(direction)

@@ -3,7 +3,8 @@ coin-game oracles.
 
 Exit codes: 0 on success, 2 for configuration errors, 3 when an invariant
 violation is detected (illegal adversary action, liveness failure, failed
-trace validation).
+trace validation).  A sweep writes every record, its cells' error records
+too, and exits 2 if any cell errored.
 """
 
 import json
@@ -116,8 +117,10 @@ def sweep(plan_path, out, fmt):
         emit(harness.csv_summary(records), out)
     else:
         emit(harness.to_jsonl(records), out)
-    if any("error" in r for r in records):
-        click.echo("%d cells errored" % sum("error" in r for r in records), err=True)
+    errored = sum("error" in r for r in records)
+    if errored:
+        click.echo("%d cells errored" % errored, err=True)
+        sys.exit(EXIT_CONFIG)
 
 
 @main.command("graph-check")

@@ -125,12 +125,11 @@ class MainConsensus:
 
     name = "main"
 
-    def __init__(self, config, provenance=False):
+    def __init__(self, config):
         constants = checked_constants(config, "main_fault_bound")
         self.config = config
         self.constants = constants
-        self.inst = Instance(range(1, config.n + 1), config.t, config.seed, constants,
-                             provenance=provenance)
+        self.inst = Instance(range(1, config.n + 1), config.t, config.seed, constants)
         self.closed_form_T = self.inst.epochs * self.inst.epoch_rounds + 2
 
     def meta(self):

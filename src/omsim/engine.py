@@ -90,20 +90,6 @@ class SystemConfig:
             raise ConfigError("inputs must be bits")
 
 
-class RandomnessLedger:
-    """Tracks random-source usage both as accesses and as bits."""
-
-    def __init__(self):
-        self.total_accesses = 0
-        self.total_bits = 0
-        self.per_round = {}  # round -> accesses that round
-
-    def record(self, rnd, bits):
-        self.total_accesses += 1
-        self.total_bits += bits
-        self.per_round[rnd] = self.per_round.get(rnd, 0) + 1
-
-
 # ---------------------------------------------------------------------------
 # Messages and adversary interface
 # ---------------------------------------------------------------------------
@@ -147,14 +133,14 @@ class AdversaryStrategy:
 
     Two ways to act. The structured interface (corruptions / silenced /
     send_filter) lets the engine deliver in batches; the general interface
-    (needs_messages = True, decide()) sees every pending message and returns
-    an AdversaryAction per hook. The engine enforces legality on both.
+    (a decide() override) sees every pending message and returns an
+    AdversaryAction per hook. The engine tells them apart, and whether there
+    is a send filter to call, by which of these methods the strategy's class
+    overrides. It enforces legality on both.
     """
 
     name = "none"
-    needs_messages = False
     needs_observation = False  # True -> full states/bits view for corruptions()
-    has_send_filter = False
 
     def start(self, config, protocol):
         pass
@@ -180,7 +166,7 @@ def adversary_view(engine, phase, pending=()):
         phase=phase,
         n=engine.config.n,
         t=engine.config.t,
-        states={p: engine.ctxs[p].state for p in range(1, engine.config.n + 1)},
+        states=dict(enumerate(engine.states, start=1)),
         drawn_bits={p: list(v) for p, v in engine.drawn_this_round.items()},
         pending=tuple(pending),
         corrupted=frozenset(engine.corrupted),
@@ -222,12 +208,12 @@ class RoundRecord:
     sent: int = 0
     bits: int = 0
     omitted: int = 0
-    delivered: int = 0
-    rand_accesses: int = 0
+    rand_accesses: int = 0         # calls to the random source, one bit each
     operative: int = 0
     corrupted_new: tuple = ()
     messages: list = None          # record_level >= 1
     omitted_messages: list = None  # record_level >= 1
+    draws: dict = None             # record_level >= 1: pid -> bits drawn
     states: dict = None            # record_level >= 2: pid -> ProtoState fields
 
 
@@ -275,14 +261,13 @@ class ProtoState:
 
 
 class Context:
-    __slots__ = ("pid", "n", "input", "state", "_engine", "_rng", "decided")
+    __slots__ = ("pid", "n", "input", "state", "_engine", "_rng")
 
     def __init__(self, engine, pid, input_bit):
         self.pid = pid
         self.n = engine.config.n
         self.input = input_bit
         self.state = ProtoState(input_bit)
-        self.decided = None
         self._engine = engine
         # one private stream per process; bits materialize only on access
         self._rng = random.Random("%d:%d" % (engine.config.seed, pid))
@@ -297,16 +282,14 @@ class Context:
             self._engine.outbox.append((self.pid, tuple(receivers), payload, bits))
 
     def rand_bit(self):
-        eng = self._engine
         v = self._rng.getrandbits(1)
-        eng.ledger.record(eng.round, 1)
-        eng.drawn_this_round.setdefault(self.pid, []).append(v)
+        self._engine.drawn_this_round.setdefault(self.pid, []).append(v)
         return v
 
     def decide(self, value):
-        if self.decided is None:
-            self.decided = value
-            self._engine.trace.decisions[self.pid] = (value, self._engine.round)
+        decisions = self._engine.trace.decisions
+        if self.pid not in decisions:
+            decisions[self.pid] = (value, self._engine.round)
 
     def note(self, key, value):
         self._engine.trace.notes[key] = value
@@ -325,22 +308,29 @@ class Engine:
         self.round = 0
         self.outbox = []
         self.drawn_this_round = {}
-        self.ledger = RandomnessLedger()
         self.trace = ExecutionTrace()
         self.corrupted = self.trace.corrupted
         self.protocol_meta = dict(getattr(protocol, "meta", lambda: {})())
-        self.ctxs = [None] + [Context(self, p, config.inputs[p - 1] if config.inputs else 0)
-                              for p in range(1, config.n + 1)]
 
     def run(self):
         cfg = self.config
         n, t = cfg.n, cfg.t
         strategy = self.adversary
         strategy.start(cfg, self.protocol)
-        gens = [None] + [self.protocol.run(self.ctxs[p]) for p in range(1, n + 1)]
+        # the interface a strategy uses is the one its class overrides; look
+        # the methods up now, as a wrapper may have replaced the base's
+        cls = type(strategy)
+        general = cls.decide is not AdversaryStrategy.decide
+        send_filter = (strategy.send_filter
+                       if cls.send_filter is not AdversaryStrategy.send_filter else None)
+        # contexts point at the engine, so only the run holds them: a finished
+        # engine is freed at once, not at the next cyclic collection
+        ctxs = [Context(self, p, cfg.inputs[p - 1] if cfg.inputs else 0)
+                for p in range(1, n + 1)]
+        states = self.states = [c.state for c in ctxs]
+        gens = [None] + [self.protocol.run(c) for c in ctxs]
         alive = self.alive = [False] + [True] * n
-        inbox = [None] + [[] for _ in range(n)]
-        states = [self.ctxs[p].state for p in range(1, n + 1)]
+        inbox = [None] * (n + 1)  # sending None into a new generator starts it
         max_rounds = getattr(self.protocol, "max_rounds", lambda: 10000)()
         silenced = frozenset()
         # processes that are both unfinished and never-corrupted; the run
@@ -363,10 +353,7 @@ class Engine:
                 box = inbox[p]
                 inbox[p] = []
                 try:
-                    if rnd == 1:
-                        next(gens[p])
-                    else:
-                        gens[p].send(box)
+                    gens[p].send(box)
                 except StopIteration:
                     alive[p] = False
                     gens[p] = None
@@ -384,12 +371,15 @@ class Engine:
                 silenced = sil
 
             # --- communication phase -------------------------------------
-            if strategy.needs_messages:
+            if general:
                 self._deliver_general(outbox, inbox, alive, rec, t)
             else:
-                self._deliver_fast(outbox, inbox, alive, rec, silenced, strategy)
+                self._deliver_fast(outbox, inbox, alive, rec, silenced, send_filter)
 
-            rec.rand_accesses = self.ledger.per_round.get(rnd, 0)
+            draws = self.drawn_this_round
+            rec.rand_accesses = sum(map(len, draws.values()))
+            if self.record_level >= 1:
+                rec.draws = draws
             rec.operative = sum(1 for s in states if s.operative)
             if self.record_level >= 2:
                 rec.states = {p: {"b": s.b, "operative": s.operative,
@@ -398,31 +388,23 @@ class Engine:
             self.trace.rounds.append(rec)
 
         # liveness: every never-corrupted process must have decided
+        decisions = self.trace.decisions
         for p in range(1, n + 1):
-            if p not in self.corrupted and self.ctxs[p].decided is None:
+            if p not in self.corrupted and p not in decisions:
                 raise LivenessFailure("non-faulty process %d ended undecided" % p)
-        decisions = {p: self.trace.decisions.get(p) for p in range(1, n + 1)
-                     if self.trace.decisions.get(p) is not None}
-        return decisions, self.trace
+        return dict(sorted(decisions.items())), self.trace
 
     # batch path: standing silenced set plus optional per-batch send filter
-    def _deliver_fast(self, outbox, inbox, alive, rec, silenced, strategy):
-        use_filter = strategy.has_send_filter
+    def _deliver_fast(self, outbox, inbox, alive, rec, silenced, send_filter):
         corrupted = self.corrupted
         rnd = self.round
         full = self.record_level >= 1
         if full:
             rec.messages = []
             rec.omitted_messages = []
-        sent = bits = omitted = delivered = 0
-        # pre-bound appends; None marks a finished process (drop silently)
-        appends = [None] * len(inbox)
-        all_alive = True
-        for q in range(1, len(inbox)):
-            if alive[q]:
-                appends[q] = inbox[q].append
-            else:
-                all_alive = False
+        sent = bits = omitted = 0
+        # pre-bound appends; a finished process's slot keeps nothing
+        appends = [inbox[q].append if alive[q] else id for q in range(len(inbox))]
         for sender, receivers, payload, b in outbox:
             k = len(receivers)
             sent += k
@@ -434,36 +416,24 @@ class Engine:
                 if full:
                     rec.omitted_messages.extend(Message(sender, q, payload, b) for q in receivers)
                 continue
-            if use_filter and sender in corrupted:
-                kept = strategy.send_filter(rnd, sender, receivers)
+            if send_filter is not None and sender in corrupted:
+                kept = send_filter(rnd, sender, receivers)
                 if full:
                     dropped = set(receivers) - set(kept)
                     rec.omitted_messages.extend(Message(sender, q, payload, b) for q in sorted(dropped))
                 omitted += k - len(kept)
                 receivers = kept
+            if silenced and not silenced.isdisjoint(receivers):
+                if full:
+                    rec.omitted_messages.extend(Message(sender, q, payload, b)
+                                                for q in receivers if q in silenced)
+                kept = [q for q in receivers if q not in silenced]
+                omitted += len(receivers) - len(kept)
+                receivers = kept
             pair = (sender, payload)
-            if silenced:
-                for q in receivers:
-                    if q in silenced:
-                        omitted += 1
-                        if full:
-                            rec.omitted_messages.append(Message(sender, q, payload, b))
-                    else:
-                        delivered += 1
-                        a = appends[q]
-                        if a is not None:
-                            a(pair)
-            else:
-                delivered += len(receivers)
-                if all_alive:
-                    for q in receivers:
-                        appends[q](pair)
-                else:
-                    for q in receivers:
-                        a = appends[q]
-                        if a is not None:
-                            a(pair)
-        rec.sent, rec.bits, rec.omitted, rec.delivered = sent, bits, omitted, delivered
+            for q in receivers:
+                appends[q](pair)
+        rec.sent, rec.bits, rec.omitted = sent, bits, omitted
 
     # general path: per-message pending list, two observation hooks
     def _deliver_general(self, outbox, inbox, alive, rec, t):
@@ -484,7 +454,6 @@ class Engine:
             if alive[m.receiver]:
                 inbox[m.receiver].append((m.sender, m.payload))
         rec.omitted = len(omitted_all)
-        rec.delivered = len(delivered)
         if self.record_level >= 1:
             rec.messages = pending
             rec.omitted_messages = omitted_all

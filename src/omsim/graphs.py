@@ -235,24 +235,33 @@ def check_edge_sparsity(graph, ell, alpha, mode="exact", trials=10000,
                    trials=trials, violations=violations)
 
 
+def peel(graph, S, constrained, delta, keep=None):
+    """Remove from S, until none is left, each member of `constrained` with
+    fewer than delta neighbors in S.  Returns what is left of S, or None as
+    soon as `keep` is removed."""
+    deg = {u: sum(1 for q in graph.adj[u] if q in S) for u in constrained}
+    queue = [u for u in constrained if deg[u] < delta]
+    while queue:
+        u = queue.pop()
+        if u not in S:
+            continue
+        S.discard(u)
+        if u == keep:
+            return None
+        for q in graph.adj[u]:
+            if q in S and q in constrained:
+                deg[q] -= 1
+                if deg[q] < delta:
+                    queue.append(q)
+    return S
+
+
 def extract_survival_set(graph, B, delta):
     """The delta-core of the induced subgraph on B: the unique maximal
     subset in which every vertex keeps >= delta neighbors inside.  Standard
     iterative peeling; returns an empty set if nothing survives."""
     B = set(B)
-    deg = {v: sum(1 for q in graph.adj[v] if q in B) for v in B}
-    queue = [v for v in B if deg[v] < delta]
-    while queue:
-        v = queue.pop()
-        if v not in B:
-            continue
-        B.discard(v)
-        for q in graph.adj[v]:
-            if q in B:
-                deg[q] -= 1
-                if deg[q] < delta:
-                    queue.append(q)
-    return B
+    return peel(graph, B, B, delta)
 
 
 def neighborhood(graph, v, gamma):
@@ -278,23 +287,9 @@ def check_dense_neighborhood_growth(graph, v, gamma, delta):
     if gamma <= 0:
         # the ball is {v} and no vertex is degree-constrained
         return 1
-    S = neighborhood(graph, v, gamma)
-    inner = neighborhood(graph, v, gamma - 1)
-    deg = {u: sum(1 for q in graph.adj[u] if q in S) for u in inner}
-    queue = [u for u in inner if deg[u] < delta]
-    while queue:
-        u = queue.pop()
-        if u not in S:
-            continue
-        S.discard(u)
-        if u == v:
-            return 0
-        for q in graph.adj[u]:
-            if q in S and q in inner:
-                deg[q] -= 1
-                if deg[q] < delta:
-                    queue.append(q)
-    return len(S)
+    S = peel(graph, neighborhood(graph, v, gamma), neighborhood(graph, v, gamma - 1),
+             delta, keep=v)
+    return 0 if S is None else len(S)
 
 
 @dataclass

@@ -12,14 +12,11 @@ import io
 import json
 from dataclasses import asdict
 
-from .adversaries import (
-    strategy_coin_biaser, strategy_crash_as_omission, strategy_eclipse,
-    strategy_none,
-)
+from .adversaries import CoinBiaser, CrashAsOmission, Eclipse
 from .consensus import MainConsensus
 from .engine import (
-    AdversaryViolation, ConfigError, LivenessFailure, SystemConfig,
-    run_execution,
+    AdversaryStrategy, AdversaryViolation, ConfigError, LivenessFailure,
+    SystemConfig, run_execution,
 )
 from .metrics import check_lower_bound_product
 from .params import Constants, acceptance, scaled
@@ -81,10 +78,12 @@ def resolve_inputs(spec, n):
         if set(spec) <= {"0", "1"} and len(spec) == n:
             return tuple(int(c) for c in spec)
         raise ConfigError("bad inputs spec %r" % spec)
-    inputs = tuple(int(b) for b in spec)
-    if len(inputs) != n:
+    if not (isinstance(spec, (list, tuple)) and all(is_int(b) and b in (0, 1) for b in spec)):
+        raise ConfigError("inputs must be a name, a bit string or a list of 0/1, "
+                          "got %r" % (spec,))
+    if len(spec) != n:
         raise ConfigError("inputs must have length n")
-    return inputs
+    return tuple(spec)
 
 
 def make_protocol(config, protocol="main", x=1):
@@ -95,22 +94,52 @@ def make_protocol(config, protocol="main", x=1):
     raise ConfigError("unknown protocol %r" % protocol)
 
 
+def checked_pids(pids, what):
+    if isinstance(pids, (list, tuple, set, frozenset)) and all(map(is_int, pids)):
+        return frozenset(pids)
+    raise ConfigError("%s must be a list of integer pids, got %r" % (what, pids))
+
+
+def checked_round(key):
+    """A crash-schedule round: an integer >= 1, or its digits, as JSON
+    object keys are strings."""
+    if isinstance(key, str) and key.isdigit():
+        key = int(key)
+    if is_int(key) and key >= 1:
+        return key
+    raise ConfigError("crash schedule rounds must be integers >= 1, got %r" % (key,))
+
+
+def int_option(opts, key, default):
+    value = opts.get(key, default)
+    if not is_int(value):
+        raise ConfigError("adversary option %s must be an integer, got %r" % (key, value))
+    return value
+
+
 def make_adversary(name, n, t, opts=None):
-    opts = opts or {}
+    opts = {} if opts is None else opts
+    if not isinstance(opts, dict):
+        raise ConfigError("adversary options must be an object, got %r" % (opts,))
     if name == "none":
-        return strategy_none()
+        return AdversaryStrategy()
     if name == "crash":
         schedule = opts.get("schedule")
         if schedule is None:
-            schedule = {1: frozenset(range(1, t + 1))} if t else {}
-        return strategy_crash_as_omission(schedule)
+            return CrashAsOmission({1: frozenset(range(1, t + 1))} if t else {})
+        if not isinstance(schedule, dict):
+            raise ConfigError("a crash schedule is an object of round: [pid, ...], "
+                              "got %r" % (schedule,))
+        return CrashAsOmission({checked_round(r): checked_pids(ps, "crash schedule pids")
+                                for r, ps in schedule.items()})
     if name == "eclipse":
         targets = opts.get("targets")
         if targets is None:
             targets = tuple(range(1, max(1, t // 2) + 1)) if t else ()
-        return strategy_eclipse(targets, rotation=int(opts.get("rotation", 2)))
+        return Eclipse(checked_pids(targets, "eclipse targets"),
+                       rotation=int_option(opts, "rotation", 2))
     if name == "coin-biaser":
-        return strategy_coin_biaser(int(opts.get("direction", 1)))
+        return CoinBiaser(int_option(opts, "direction", 1))
     raise ConfigError("unknown adversary %r" % name)
 
 
@@ -121,8 +150,8 @@ def run_record(n, t, seed, protocol="main", x=1, adversary="none",
     constants = constants or scaled()
     bits = resolve_inputs(inputs, n)
     config = SystemConfig(n=n, t=t, seed=seed, inputs=bits, params=constants)
-    proto = make_protocol(config, protocol, x)
     adv = make_adversary(adversary, n, t, adversary_opts)
+    proto = make_protocol(config, protocol, x)
     decisions, trace, metrics = run_execution(config, proto, adv,
                                               record_level=record_level)
     metrics.revalidate(trace)

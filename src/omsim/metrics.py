@@ -3,7 +3,8 @@
 T is the trace length, which coincides with the round in which the last
 never-corrupted process finished (the engine stops there).  comm_bits counts
 payload bits of every message emitted, whether delivered or omitted.
-R is tracked both as accesses and as bits.
+R counts calls to the random source; `rand_bit` is the only one and each call
+draws one bit, so R_bits equals R_accesses.
 """
 
 from dataclasses import dataclass, field
@@ -24,9 +25,7 @@ class Metrics:
     operative_final: int
     operative_min: int
     fallback_triggered: bool
-    decision_rounds: dict = field(default_factory=dict)
     per_epoch: list = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
 
     @classmethod
     def from_engine(cls, eng):
@@ -42,36 +41,37 @@ class Metrics:
                     "end_round": r,
                     "operative": ops[r - 1],
                 })
+        sent = sum(r.sent for r in rounds)
+        omitted = sum(r.omitted for r in rounds)
+        draws = sum(r.rand_accesses for r in rounds)
         return cls(
             T=eng.round,
             comm_bits=sum(r.bits for r in rounds),
-            sent_msgs=sum(r.sent for r in rounds),
-            omitted_msgs=sum(r.omitted for r in rounds),
-            delivered_msgs=sum(r.delivered for r in rounds),
-            R_accesses=eng.ledger.total_accesses,
-            R_bits=eng.ledger.total_bits,
-            per_round_rand=dict(eng.ledger.per_round),
+            sent_msgs=sent,
+            omitted_msgs=omitted,
+            delivered_msgs=sent - omitted,
+            R_accesses=draws,
+            R_bits=draws,
+            per_round_rand={r.index: r.rand_accesses for r in rounds if r.rand_accesses},
             operative_final=ops[-1] if ops else eng.config.n,
             operative_min=min(ops) if ops else eng.config.n,
             fallback_triggered=bool(trace.notes.get("fallback", False)),
-            decision_rounds={p: r for p, (_, r) in trace.decisions.items()},
             per_epoch=per_epoch,
-            notes=dict(trace.notes),
         )
 
     def revalidate(self, trace):
         """Recount the tallies from the trace; any mismatch is a bug.  Where
-        the messages were recorded (record_level >= 1), each round's counts
-        are redone from its message lists."""
+        the messages and draws were recorded (record_level >= 1), each
+        round's counts are redone from its message lists and draws."""
         assert self.T == len(trace.rounds)
-        assert self.R_accesses == sum(r.rand_accesses for r in trace.rounds)
         for r in trace.rounds:
             if r.messages is None:
                 continue
             assert r.sent == len(r.messages), "round %d: sent" % r.index
             assert r.bits == sum(m.bits for m in r.messages), "round %d: bits" % r.index
             assert r.omitted == len(r.omitted_messages), "round %d: omitted" % r.index
-            assert r.delivered == r.sent - r.omitted, "round %d: delivered" % r.index
+            assert r.rand_accesses == sum(map(len, r.draws.values())), \
+                "round %d: rand_accesses" % r.index
         return True
 
 

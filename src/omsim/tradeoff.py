@@ -32,7 +32,7 @@ def split_super_processes(n, x):
 class TradeoffConsensus:
     name = "tradeoff"
 
-    def __init__(self, config, x=1, provenance=False):
+    def __init__(self, config, x=1):
         constants = checked_constants(config, "tradeoff_fault_bound")
         n, t = config.n, config.t
         if not 1 <= x <= n:
@@ -48,7 +48,7 @@ class TradeoffConsensus:
         for i, block in enumerate(self.supers, start=1):
             t_inner = max(0, min(t, len(block) // constants.main_fault_bound - 1))
             self.inner.append(Instance(block, t_inner, config.seed, constants,
-                                       provenance=provenance, graph_tag=i))
+                                       graph_tag=i))
         self.inner_rounds = [inst.epochs * inst.epoch_rounds + 1 for inst in self.inner]
 
         self.flooding_rounds = max(1, int(-(-constants.flooding_coeff * log2_ceil(n) // 1)))

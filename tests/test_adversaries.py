@@ -1,9 +1,7 @@
 import pytest
 
 from omsim.adversaries import (
-    CrashAsOmission, ScheduleExceedsBudget,
-    load_schedule, strategy_coin_biaser, strategy_crash_as_omission,
-    strategy_eclipse, strategy_none,
+    CoinBiaser, CrashAsOmission, Eclipse, ScheduleExceedsBudget, load_schedule,
 )
 from omsim.consensus import MainConsensus
 from omsim.engine import (
@@ -26,7 +24,7 @@ def test_schedule_parsing():
 
 
 def test_none_matches_closed_form():
-    dec, trace, m = run_main(32, 1, (1,) * 32, adversary=strategy_none())
+    dec, trace, m = run_main(32, 1, (1,) * 32, adversary=AdversaryStrategy())
     assert trace.corrupted == {}
     proto = MainConsensus(SystemConfig(n=32, t=1, seed=1,
                                        inputs=(1,) * 32, params=scaled()))
@@ -36,13 +34,13 @@ def test_none_matches_closed_form():
 def test_crash_budget_checked():
     cfg = SystemConfig(n=32, t=1, seed=1, inputs=(1,) * 32, params=scaled())
     with pytest.raises(ScheduleExceedsBudget):
-        run_execution(cfg, MainConsensus, strategy_crash_as_omission({1: {1, 2}}))
+        run_execution(cfg, MainConsensus, CrashAsOmission({1: {1, 2}}))
 
 
 def test_crash_empty_schedule_is_none():
     inputs = tuple(1 if i % 2 else 0 for i in range(32))
-    a = run_main(32, 1, inputs, seed=3, adversary=strategy_none(), record_level=1)
-    b = run_main(32, 1, inputs, seed=3, adversary=strategy_crash_as_omission({}),
+    a = run_main(32, 1, inputs, seed=3, adversary=AdversaryStrategy(), record_level=1)
+    b = run_main(32, 1, inputs, seed=3, adversary=CrashAsOmission({}),
                  record_level=1)
     assert a[0] == b[0]
     assert [r.messages for r in a[1].rounds] == [r.messages for r in b[1].rounds]
@@ -51,7 +49,7 @@ def test_crash_empty_schedule_is_none():
 def test_crash_operative_floor():
     n, t = 64, 2
     dec, trace, m = run_main(n, t, (1,) * n, seed=5,
-                             adversary=strategy_crash_as_omission({1: {1, 2}}))
+                             adversary=CrashAsOmission({1: {1, 2}}))
     for entry in m.per_epoch:
         assert entry["operative"] >= n - 3 * t
     honest = {p: v for p, (v, _) in dec.items() if p not in (1, 2)}
@@ -67,7 +65,7 @@ def test_crash_whole_group_leaves_other_counts_intact():
     cfg = SystemConfig(n=n, t=5, seed=2, inputs=inputs, params=scaled())
     inst = Instance(range(1, n + 1), 5, 2, scaled(), provenance=True)
     dec, _, _ = run_execution(cfg, OneEpoch(inst),
-                              strategy_crash_as_omission({1: crashed}))
+                              CrashAsOmission({1: crashed}))
     for pid in range(6, n + 1):
         ones, zeros = dec[pid][0]
         assert ones == n - len(crashed) and zeros == 0
@@ -77,7 +75,7 @@ def test_eclipse_agreement_and_floor():
     n, t = 64, 2
     for seed in range(4):
         dec, trace, m = run_main(n, t, (0,) * n, seed=seed,
-                                 adversary=strategy_eclipse({7}, rotation=2))
+                                 adversary=Eclipse({7}, rotation=2))
         honest = {p: v for p, (v, _) in dec.items() if p != 7}
         assert set(honest.values()) == {0}
         assert m.operative_min >= n - 3 * t
@@ -87,9 +85,9 @@ def test_eclipse_agreement_and_floor():
 def test_eclipse_rotation_one_equals_crash():
     inputs = tuple(1 if i % 2 else 0 for i in range(32))
     a = run_main(32, 1, inputs, seed=4,
-                 adversary=strategy_eclipse({3}, rotation=1), record_level=1)
+                 adversary=Eclipse({3}, rotation=1), record_level=1)
     b = run_main(32, 1, inputs, seed=4,
-                 adversary=strategy_crash_as_omission({1: {3}}), record_level=1)
+                 adversary=CrashAsOmission({1: {3}}), record_level=1)
     # crash also blocks incoming, eclipse only outgoing: the honest
     # decisions agree even though traces may differ
     assert {p: v for p, (v, _) in a[0].items() if p != 3} \
@@ -105,9 +103,9 @@ def test_eclipse_rotation_one_equals_crash():
 
 def test_coin_biaser_zero_budget_is_none():
     inputs = tuple(1 if i % 2 else 0 for i in range(32))
-    a = run_main(32, 0, inputs, seed=6, adversary=strategy_coin_biaser(1),
+    a = run_main(32, 0, inputs, seed=6, adversary=CoinBiaser(1),
                  record_level=1)
-    b = run_main(32, 0, inputs, seed=6, adversary=strategy_none(), record_level=1)
+    b = run_main(32, 0, inputs, seed=6, adversary=AdversaryStrategy(), record_level=1)
     assert a[0] == b[0]
     assert [r.messages for r in a[1].rounds] == [r.messages for r in b[1].rounds]
 
@@ -115,7 +113,7 @@ def test_coin_biaser_zero_budget_is_none():
 def test_coin_biaser_validity_pressure():
     # unanimous zeros: no draws ever happen, direction-1 bias cannot move it
     dec, _, m = run_main(64, 2, (0,) * 64, seed=1,
-                         adversary=strategy_coin_biaser(1))
+                         adversary=CoinBiaser(1))
     assert {v for v, _ in dec.values()} == {0}
 
 
@@ -123,7 +121,7 @@ def test_coin_biaser_mixed_inputs_still_decide():
     inputs = tuple(1 if i % 2 else 0 for i in range(64))
     for seed in range(4):
         dec, trace, _ = run_main(64, 2, inputs, seed=seed,
-                                 adversary=strategy_coin_biaser(0))
+                                 adversary=CoinBiaser(0))
         honest = {v for p, (v, _) in dec.items() if p not in trace.corrupted}
         assert len(honest) == 1
         assert trace.verify(2)
@@ -132,7 +130,6 @@ def test_coin_biaser_mixed_inputs_still_decide():
 class GeneralCrash(AdversaryStrategy):
     """Per-message replica of CrashAsOmission on the general hook path."""
     name = "crash-general"
-    needs_messages = True
 
     def __init__(self, schedule):
         self.schedule = schedule
@@ -156,7 +153,7 @@ def test_fast_and_general_crash_paths_agree():
     inputs = tuple(1 if i % 3 else 0 for i in range(32))
     sched = {2: frozenset({5})}
     a = run_main(32, 1, inputs, seed=8,
-                 adversary=strategy_crash_as_omission(sched), record_level=1)
+                 adversary=CrashAsOmission(sched), record_level=1)
     b = run_main(32, 1, inputs, seed=8,
                  adversary=GeneralCrash(dict(sched)), record_level=1)
     assert a[0] == b[0]

@@ -33,7 +33,7 @@ class Echo:
 
 
 class Coin(Echo):
-    """Draws one random bit before deciding, to exercise the ledger."""
+    """Draws one random bit before deciding, to exercise R's accounting."""
 
     def run(self, ctx):
         b = ctx.rand_bit()
@@ -135,7 +135,6 @@ def test_apply_action_crash_pattern():
 class OmitAllFromOne(AdversaryStrategy):
     """General-path strategy: corrupts process 1 and drops its messages."""
     name = "test-hook"
-    needs_messages = True
 
     def decide(self, obs):
         omit = frozenset(i for i, m in enumerate(obs.pending) if m.sender == 1)
@@ -195,5 +194,13 @@ def test_metrics_revalidate_and_trace_verify():
     assert trace.verify(cfg.t)
     # the recount reads the recorded messages, so a tampered tally fails it
     trace.rounds[0].bits += 1
+    with pytest.raises(AssertionError):
+        m.revalidate(trace)
+    # and the recorded draws, so a tampered randomness count fails it too
+    cfg = SystemConfig(n=4, t=0, seed=9, inputs=(0, 1, 0, 1))
+    _, trace, m = run_execution(cfg, Coin, record_level=1)
+    assert trace.rounds[0].draws.keys() == {1, 2, 3, 4}
+    assert m.revalidate(trace)
+    trace.rounds[0].rand_accesses -= 1
     with pytest.raises(AssertionError):
         m.revalidate(trace)

@@ -213,10 +213,26 @@ def test_bad_constant_values_are_config_errors(tmp_path, overrides):
                                                      "--config", str(conf)]))
 
 
+ECLIPSE = {"n": 31, "t": 1, "adversary": "eclipse"}
+CRASH = {"n": 31, "t": 1, "adversary": "crash"}
+
+
 @pytest.mark.parametrize("bad_cell, message", [
     ({"n": "abc", "t": 1}, "cell keys must be integers: n"),
     ({"n": 31, "t": 1, "seeds": "x"}, "\"seeds\" must be a count or a list of integers"),
     (5, "a cell is an object"),
+    ({"n": 31, "t": 1, "inputs": ["x"]}, "ConfigError: inputs must be"),
+    ({"n": 31, "t": 1, "inputs": [0.7] * 31}, "ConfigError: inputs must be"),
+    (dict(ECLIPSE, adversary_opts=5), "ConfigError: adversary options must be an object"),
+    (dict(ECLIPSE, adversary_opts={"rotation": "x"}),
+     "ConfigError: adversary option rotation must be an integer"),
+    (dict(ECLIPSE, adversary_opts={"rotation": 2.9}),
+     "ConfigError: adversary option rotation must be an integer"),
+    (dict(ECLIPSE, adversary_opts={"targets": ["3"]}),
+     "ConfigError: eclipse targets must be a list of integer pids"),
+    (dict(CRASH, adversary_opts={"schedule": [1]}), "ConfigError: a crash schedule is an object"),
+    (dict(CRASH, adversary_opts={"schedule": {"x": [1]}}),
+     "ConfigError: crash schedule rounds must be integers"),
 ])
 def test_run_sweep_bad_value_type_is_that_cells_error(tmp_path, bad_cell, message):
     plan = {"cells": [bad_cell, {"n": 31, "t": 1, "seeds": 1}]}
@@ -227,5 +243,6 @@ def test_run_sweep_bad_value_type_is_that_cells_error(tmp_path, bad_cell, messag
     path = tmp_path / "p.json"
     path.write_text(json.dumps(plan))
     res = CliRunner().invoke(cli_main, ["sweep", str(path)])
-    assert res.exit_code == 0, res.output
+    assert res.exit_code == 2, res.output
+    assert len(res.stdout.splitlines()) == 2
     assert res.stderr.strip() == "1 cells errored"
