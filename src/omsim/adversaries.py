@@ -6,11 +6,11 @@ action. Each strategy is deterministic given its observation stream, so a
 rerun with the same seed reproduces the trace bit for bit.
 """
 
-from .engine import AdversaryStrategy, AdversaryViolation, ConfigError
+from .engine import AdversaryStrategy, ConfigError
 
 
-class ScheduleExceedsBudget(AdversaryViolation):
-    pass
+class ScheduleExceedsBudget(ConfigError):
+    """A strategy configured to corrupt more than t processes."""
 
 
 def check_pids(pids, n):

@@ -169,7 +169,7 @@ def adversary_view(engine, phase, pending=()):
         states=dict(enumerate(engine.states, start=1)),
         drawn_bits={p: list(v) for p, v in engine.drawn_this_round.items()},
         pending=tuple(pending),
-        corrupted=frozenset(engine.corrupted),
+        corrupted=frozenset(engine.trace.corrupted),
         meta=engine.protocol_meta,
     )
 
@@ -309,8 +309,7 @@ class Engine:
         self.outbox = []
         self.drawn_this_round = {}
         self.trace = ExecutionTrace()
-        self.corrupted = self.trace.corrupted
-        self.protocol_meta = dict(getattr(protocol, "meta", lambda: {})())
+        self.protocol_meta = protocol.meta()
 
     def run(self):
         cfg = self.config
@@ -328,16 +327,16 @@ class Engine:
         ctxs = [Context(self, p, cfg.inputs[p - 1] if cfg.inputs else 0)
                 for p in range(1, n + 1)]
         states = self.states = [c.state for c in ctxs]
+        # the one record of liveness: a finished process's generator is None
         gens = [None] + [self.protocol.run(c) for c in ctxs]
-        alive = self.alive = [False] + [True] * n
         inbox = [None] * (n + 1)  # sending None into a new generator starts it
-        max_rounds = getattr(self.protocol, "max_rounds", lambda: 10000)()
+        max_rounds = self.protocol.max_rounds()
+        corrupted = self.trace.corrupted
         silenced = frozenset()
-        # processes that are both unfinished and never-corrupted; the run
-        # ends when none remain (corrupted ones may legitimately starve)
-        self.live_uncorrupted = n
 
-        while self.live_uncorrupted > 0:
+        # the run ends when every never-corrupted process has finished
+        # (corrupted ones may legitimately starve)
+        while any(g is not None and p not in corrupted for p, g in enumerate(gens)):
             self.round += 1
             if self.round > max_rounds:
                 raise LivenessFailure("round budget %d exceeded" % max_rounds)
@@ -348,17 +347,15 @@ class Engine:
 
             # --- local computation phase ---------------------------------
             for p in range(1, n + 1):
-                if not alive[p]:
+                gen = gens[p]
+                if gen is None:
                     continue
                 box = inbox[p]
                 inbox[p] = []
                 try:
-                    gens[p].send(box)
+                    gen.send(box)
                 except StopIteration:
-                    alive[p] = False
                     gens[p] = None
-                    if p not in self.corrupted:
-                        self.live_uncorrupted -= 1
 
             # --- adversary: corruption step ------------------------------
             rec = RoundRecord(index=rnd)
@@ -366,15 +363,15 @@ class Engine:
             self._absorb_corruptions(strategy.corruptions(obs), rec)
             sil = strategy.silenced()
             if sil != silenced:
-                if not sil <= self.corrupted.keys():
+                if not sil <= corrupted.keys():
                     raise AdversaryViolation("silenced set contains non-corrupted process")
                 silenced = sil
 
             # --- communication phase -------------------------------------
             if general:
-                self._deliver_general(outbox, inbox, alive, rec, t)
+                self._deliver_general(outbox, inbox, gens, rec, t)
             else:
-                self._deliver_fast(outbox, inbox, alive, rec, silenced, send_filter)
+                self._deliver_fast(outbox, inbox, gens, rec, silenced, send_filter)
 
             draws = self.drawn_this_round
             rec.rand_accesses = sum(map(len, draws.values()))
@@ -390,13 +387,14 @@ class Engine:
         # liveness: every never-corrupted process must have decided
         decisions = self.trace.decisions
         for p in range(1, n + 1):
-            if p not in self.corrupted and p not in decisions:
+            if p not in corrupted and p not in decisions:
                 raise LivenessFailure("non-faulty process %d ended undecided" % p)
         return dict(sorted(decisions.items())), self.trace
 
-    # batch path: standing silenced set plus optional per-batch send filter
-    def _deliver_fast(self, outbox, inbox, alive, rec, silenced, send_filter):
-        corrupted = self.corrupted
+    # batch path: standing silenced set plus optional per-batch send filter;
+    # gens[q] is None once q has finished
+    def _deliver_fast(self, outbox, inbox, gens, rec, silenced, send_filter):
+        corrupted = self.trace.corrupted
         rnd = self.round
         full = self.record_level >= 1
         if full:
@@ -404,39 +402,40 @@ class Engine:
             rec.omitted_messages = []
         sent = bits = omitted = 0
         # pre-bound appends; a finished process's slot keeps nothing
-        appends = [inbox[q].append if alive[q] else id for q in range(len(inbox))]
+        appends = [id if g is None else box.append for g, box in zip(gens, inbox)]
         for sender, receivers, payload, b in outbox:
             k = len(receivers)
             sent += k
             bits += b * k
             if full:
                 rec.messages.extend(Message(sender, q, payload, b) for q in receivers)
+            # the receivers the adversary keeps; it may omit only on links
+            # that touch a corrupted process
+            kept = receivers
             if sender in silenced:
-                omitted += k
-                if full:
-                    rec.omitted_messages.extend(Message(sender, q, payload, b) for q in receivers)
-                continue
-            if send_filter is not None and sender in corrupted:
+                kept = ()
+            elif send_filter is not None and sender in corrupted:
                 kept = send_filter(rnd, sender, receivers)
-                if full:
-                    dropped = set(receivers) - set(kept)
-                    rec.omitted_messages.extend(Message(sender, q, payload, b) for q in sorted(dropped))
+                unique = set(kept)
+                if len(unique) != len(kept) or not unique.issubset(receivers):
+                    raise AdversaryViolation(
+                        "send filter of process %d kept %r of receivers %r"
+                        % (sender, kept, receivers))
+            if silenced and not silenced.isdisjoint(kept):
+                kept = [q for q in kept if q not in silenced]
+            if len(kept) != k:
                 omitted += k - len(kept)
-                receivers = kept
-            if silenced and not silenced.isdisjoint(receivers):
                 if full:
+                    keep = set(kept)
                     rec.omitted_messages.extend(Message(sender, q, payload, b)
-                                                for q in receivers if q in silenced)
-                kept = [q for q in receivers if q not in silenced]
-                omitted += len(receivers) - len(kept)
-                receivers = kept
+                                                for q in receivers if q not in keep)
             pair = (sender, payload)
-            for q in receivers:
+            for q in kept:
                 appends[q](pair)
         rec.sent, rec.bits, rec.omitted = sent, bits, omitted
 
     # general path: per-message pending list, two observation hooks
-    def _deliver_general(self, outbox, inbox, alive, rec, t):
+    def _deliver_general(self, outbox, inbox, gens, rec, t):
         strategy = self.adversary
         pending = []
         for sender, receivers, payload, b in outbox:
@@ -447,11 +446,12 @@ class Engine:
         delivered, omitted_all = pending, []
         for phase in ("send", "deliver"):
             action = strategy.decide(adversary_view(self, phase, delivered))
-            delivered, omitted, _ = apply_adversary_action(action, delivered, self.corrupted, t)
+            delivered, omitted, _ = apply_adversary_action(action, delivered,
+                                                           self.trace.corrupted, t)
             self._absorb_corruptions(action.corrupt, rec)
             omitted_all.extend(omitted)
         for m in delivered:
-            if alive[m.receiver]:
+            if gens[m.receiver] is not None:
                 inbox[m.receiver].append((m.sender, m.payload))
         rec.omitted = len(omitted_all)
         if self.record_level >= 1:
@@ -459,16 +459,15 @@ class Engine:
             rec.omitted_messages = omitted_all
 
     def _absorb_corruptions(self, corrupt, rec):
-        newly = [p for p in corrupt if p not in self.corrupted]
+        corrupted = self.trace.corrupted
+        newly = [p for p in corrupt if p not in corrupted]
         if not newly:
             return
-        if len(self.corrupted) + len(newly) > self.config.t:
+        if len(corrupted) + len(newly) > self.config.t:
             raise AdversaryViolation(
                 "corruption budget exceeded at round %d" % self.round)
         for p in newly:
-            self.corrupted[p] = self.round
-            if self.alive[p]:
-                self.live_uncorrupted -= 1
+            corrupted[p] = self.round
         rec.corrupted_new = tuple(rec.corrupted_new) + tuple(newly)
 
 

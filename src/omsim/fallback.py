@@ -13,7 +13,7 @@ search can drive it directly, without the engine; the engine-facing
 generator wraps the same object.
 """
 
-from .engine import ConfigError, count_bits
+from .engine import ConfigError, chain_bits
 
 
 class ChainFlooder:
@@ -57,11 +57,10 @@ def run_fallback(ctx, value, t, targets):
     (the process cannot know who else participates, so it broadcasts to
     everybody and non-participants simply ignore the traffic).
     Returns the decided bit."""
-    cb = count_bits(ctx.n)
     proc = ChainFlooder(ctx.pid, value, t)
     for r in range(1, t + 2):
         for v, chain in proc.take_pending():
-            ctx.broadcast(targets, ("fb", v, chain), 1 + len(chain) * cb)
+            ctx.broadcast(targets, ("fb", v, chain), 1 + chain_bits(len(chain), ctx.n))
         inbox = yield
         proc.receive(r, [(m[1], m[2]) for _, m in inbox if m[0] == "fb"])
     return proc.decision()

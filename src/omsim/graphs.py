@@ -120,10 +120,6 @@ class Verdict:
     trials: int = 0
     violations: int = 0
 
-    @property
-    def violation_rate(self):
-        return self.violations / self.trials if self.trials else 0.0
-
     def to_dict(self):
         return {"ok": self.ok, "witness": self.witness, "mode": self.mode,
                 "trials": self.trials, "violations": self.violations}

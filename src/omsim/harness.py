@@ -171,18 +171,7 @@ def run_record(n, t, seed, protocol="main", x=1, adversary="none",
         "agreement": len(values) == 1,
         "all_non_faulty_decided": all(p in decisions for p in non_faulty),
         "closed_form_T": proto.closed_form_T,
-        "metrics": {
-            "T": metrics.T,
-            "comm_bits": metrics.comm_bits,
-            "sent_msgs": metrics.sent_msgs,
-            "omitted_msgs": metrics.omitted_msgs,
-            "R_accesses": metrics.R_accesses,
-            "R_bits": metrics.R_bits,
-            "operative_final": metrics.operative_final,
-            "operative_min": metrics.operative_min,
-            "fallback_triggered": metrics.fallback_triggered,
-            "per_epoch": metrics.per_epoch,
-        },
+        "metrics": asdict(metrics),
         "adversary_legal": True,  # engine-enforced; reaching here proves it
         "lower_bound": {"ok": lb_ok, "margin": lb_margin},
     }

@@ -14,18 +14,21 @@ from .engine import log2_ceil
 
 @dataclass
 class Metrics:
+    """A run's tallies; a record's `metrics` object is exactly these fields."""
     T: int
     comm_bits: int
     sent_msgs: int
     omitted_msgs: int
-    delivered_msgs: int
     R_accesses: int
     R_bits: int
-    per_round_rand: dict
     operative_final: int
     operative_min: int
     fallback_triggered: bool
     per_epoch: list = field(default_factory=list)
+
+    @property
+    def delivered_msgs(self):
+        return self.sent_msgs - self.omitted_msgs
 
     @classmethod
     def from_engine(cls, eng):
@@ -41,18 +44,14 @@ class Metrics:
                     "end_round": r,
                     "operative": ops[r - 1],
                 })
-        sent = sum(r.sent for r in rounds)
-        omitted = sum(r.omitted for r in rounds)
         draws = sum(r.rand_accesses for r in rounds)
         return cls(
             T=eng.round,
             comm_bits=sum(r.bits for r in rounds),
-            sent_msgs=sent,
-            omitted_msgs=omitted,
-            delivered_msgs=sent - omitted,
+            sent_msgs=sum(r.sent for r in rounds),
+            omitted_msgs=sum(r.omitted for r in rounds),
             R_accesses=draws,
             R_bits=draws,
-            per_round_rand={r.index: r.rand_accesses for r in rounds if r.rand_accesses},
             operative_final=ops[-1] if ops else eng.config.n,
             operative_min=min(ops) if ops else eng.config.n,
             fallback_triggered=bool(trace.notes.get("fallback", False)),

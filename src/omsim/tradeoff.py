@@ -119,7 +119,6 @@ class TradeoffConsensus:
                     elif cd != best[1]:
                         # conflicting non-null decisions only show up in
                         # failure analyses; resolve by lowest carrier id
-                        ctx.note("flood_conflict", True)
                         if best[0] < ctx.pid:
                             cd = best[1]
                 active = delivery_rule(st, active, got, threshold, divisor)

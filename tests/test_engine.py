@@ -102,7 +102,7 @@ def test_ledger_counts_accesses_and_bits():
     _, trace, m = run_execution(cfg, Coin)
     assert m.R_accesses == 3
     assert m.R_bits == 3
-    assert m.per_round_rand == {1: 3}
+    assert [r.rand_accesses for r in trace.rounds] == [3, 0]
 
 
 def test_apply_action_empty_is_identity():
@@ -161,6 +161,40 @@ def test_hook_strategy_budget_enforced():
     cfg = SystemConfig(n=4, t=1, seed=5, inputs=(0, 1, 1, 1))
     with pytest.raises(AdversaryViolation):
         run_execution(cfg, Echo, Greedy())
+
+
+class FilterAll(AdversaryStrategy):
+    """Corrupts process 1 and keeps what `keep` makes of its receivers."""
+
+    def __init__(self, keep):
+        self.keep = keep
+
+    def corruptions(self, obs):
+        return (1,)
+
+    def send_filter(self, rnd, sender, receivers):
+        return self.keep(receivers)
+
+
+def test_send_filter_drops_are_omissions():
+    cfg = SystemConfig(n=4, t=1, seed=5, inputs=(0, 1, 1, 1))
+    dec, trace, m = run_execution(cfg, Echo, FilterAll(lambda rs: rs[1:]), record_level=1)
+    assert m.sent_msgs == 12 and m.omitted_msgs == 1 and m.delivered_msgs == 11
+    assert [(o.sender, o.receiver) for o in trace.rounds[0].omitted_messages] == [(1, 2)]
+    assert dec[2][0] == 1 and dec[3][0] == dec[4][0] == 0
+    assert m.revalidate(trace) and trace.verify(cfg.t)
+
+
+@pytest.mark.parametrize("keep", [
+    lambda rs: rs + rs,
+    lambda rs: rs[:1] * 2,
+    lambda rs: rs[1:] + (1,),
+    lambda rs: (5,),
+], ids=["repeats-all", "repeats-one", "adds-sender", "adds-outsider"])
+def test_send_filter_must_keep_a_subset(keep):
+    cfg = SystemConfig(n=4, t=1, seed=5, inputs=(0, 1, 1, 1))
+    with pytest.raises(AdversaryViolation):
+        run_execution(cfg, Echo, FilterAll(keep))
 
 
 def test_silenced_must_be_corrupted():

@@ -70,9 +70,8 @@ def test_csv_summary():
 
 
 def test_lower_bound_examples():
-    m = Metrics(T=1, comm_bits=0, sent_msgs=0, omitted_msgs=0, delivered_msgs=0,
-                R_accesses=0, R_bits=0, per_round_rand={}, operative_final=0,
-                operative_min=0, fallback_triggered=False)
+    m = Metrics(T=1, comm_bits=0, sent_msgs=0, omitted_msgs=0, R_accesses=0,
+                R_bits=0, operative_final=0, operative_min=0, fallback_triggered=False)
     # tiny T and R only violate the product once t is large enough for the
     # right-hand side to exceed 1
     ok, margin = check_lower_bound_product(m, 256, 2048)
@@ -162,13 +161,14 @@ def assert_config_exit(res):
     ["--adversary", "eclipse", "--targets", "1,x"],
     ["--adversary", "eclipse", "--rotation", "0"],
     ["--adversary", "coin-biaser", "--direction", "5"],
+    ["--adversary", "eclipse", "--targets", "1,2,3"],
 ])
 def test_cli_bad_adversary_options_exit_2(extra):
     res = CliRunner().invoke(cli_main, ["run", "-n", "64", "-t", "2"] + extra)
     assert_config_exit(res)
 
 
-@pytest.mark.parametrize("text", ["1: 70\n", "1: 0\n", "one: 2\n"])
+@pytest.mark.parametrize("text", ["1: 70\n", "1: 0\n", "one: 2\n", "1: 1 2 3\n"])
 def test_cli_bad_crash_schedule_exit_2(tmp_path, text):
     sched = tmp_path / "sched.txt"
     sched.write_text(text)

@@ -120,5 +120,5 @@ def test_randomness_confined_to_inner_runs():
     for start, budget, inner in zip(meta["phase_starts"], meta["phase_budgets"],
                                     proto.inner):
         inner_windows.append((start, start + budget - meta["flooding_rounds"]))
-    for rnd in m.per_round_rand:
+    for rnd in (r.index for r in trace.rounds if r.rand_accesses):
         assert any(lo <= rnd <= hi for lo, hi in inner_windows), rnd
