@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .engine import BudgetExceeded, ConfigError
+from .engine import BudgetExceeded, ConfigError, check_trials
 
 UNBIASABLE = math.inf
 
@@ -111,6 +111,7 @@ def bias_probability(game, v, B, mode="exact", trials=20000, seed=0, budget=20):
             if size <= B:
                 total += pr
         return total
+    check_trials(trials)
     rng = np.random.default_rng(seed)
     hits = 0
     doms = [game.domain(i) for i in range(game.k)]
@@ -129,6 +130,8 @@ def hiding_budget(k, alpha, coeff=8.0, log_base=math.e):
     """The hiding allowance sufficient to bias with probability 1 - alpha."""
     if not 0 < alpha < 1:
         raise ConfigError("alpha must be in (0, 1)")
+    if not coeff >= 0:
+        raise ConfigError("coeff must be >= 0, got %s" % coeff)
     return math.ceil(coeff * math.sqrt(k * math.log(1 / alpha, log_base)))
 
 
@@ -160,6 +163,7 @@ def anti_concentration_check(n, tau, trials=10 ** 6, seed=0):
     The bound only claims validity for tau <= sqrt(n)/8."""
     if tau > math.sqrt(n) / 8:
         raise ConfigError("tau exceeds sqrt(n)/8")
+    check_trials(trials)
     rng = np.random.default_rng(seed)
     x = rng.binomial(n, 0.5, size=trials)
     estimate = float(np.mean(x - n / 2 >= tau * math.sqrt(n)))

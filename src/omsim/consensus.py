@@ -75,8 +75,7 @@ def main_core(inst, ctx, st, targets):
         gpair = yield from group_bits_aggregation(inst, ctx, st)
         pair = yield from group_bits_spreading(inst, ctx, st, gpair)
         if st.operative and pair is not None:
-            ones, zeros = inst.val(pair[0]), inst.val(pair[1])
-            st.b, st.decided = decide_candidate(ones, zeros, inst.constants, ctx.rand_bit)
+            st.b, st.decided = decide_candidate(*pair, inst.constants, ctx.rand_bit)
     return (yield from disseminate(ctx, st, targets))
 
 

@@ -36,6 +36,12 @@ class BudgetExceeded(Exception):
     pass
 
 
+def check_trials(trials):
+    """A sampled estimate needs at least one trial."""
+    if trials < 1:
+        raise ConfigError("need trials >= 1, got %d" % trials)
+
+
 # ---------------------------------------------------------------------------
 # Canonical payload encoding table.  All sizes in bits.
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import BudgetExceeded, ConfigError, log2_ceil
+from .engine import BudgetExceeded, ConfigError, check_trials, log2_ceil
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,10 @@ class GraphConfig:
     n: int
     delta: int            # target degree parameter
     seed: int
+
+    def __post_init__(self):
+        if self.delta < 1:
+            raise ConfigError("need delta >= 1")
 
     @property
     def rho(self):
@@ -156,6 +160,7 @@ def check_expansion(graph, ell, mode="exact", trials=10000, budget=10 ** 6, seed
             if len(far) >= ell:
                 return Verdict(False, witness=(list(A), far[:ell]))
         return Verdict(True)
+    check_trials(trials)
     rng = random.Random(seed)
     violations = 0
     witness = None
@@ -199,6 +204,9 @@ def check_edge_sparsity(graph, ell, alpha, mode="exact", trials=10000,
                 if bad(X):
                     return Verdict(False, witness=list(X))
         return Verdict(True)
+    check_trials(trials)
+    if ell < 2:
+        return Verdict(True)    # no set of two or more to test: exact mode's verdict
 
     rng = random.Random(seed)
     violations = 0

@@ -14,17 +14,18 @@ relay reads on every call (`relay_tables`): per stage, each member's
 `(bag, side)` role, and each member's group peers.  The gossip carries each
 group's pair as one `(i, ones, zeros)` entry tuple, built once by the
 group's members and then shared by every payload and every receiver.
+Counts are plain integers throughout.
 
-Counts support a provenance mode used by tests: instead of integers they
-become frozensets of contributing process ids, with identical control flow,
-so contribution invariants can be asserted on real runs.
+The gossip and the trade-off protocol's flooding receive through one step,
+`delivery_rule`: it reads a round's messages of one kind from the
+non-disregarded neighbors, disregards the silent ones and applies the
+inoperative threshold.
 """
 
 from bisect import bisect_left
 from itertools import filterfalse
 from operator import itemgetter
 
-from .engine import ProtoState  # noqa: F401  (re-exported: the routines' `st`)
 from .engine import count_bits, group_index_bits, isqrt_ceil, log2_ceil
 from .graphs import GraphConfig, generate
 
@@ -112,12 +113,11 @@ class Instance:
     relay's `roles[stage][pid] -> (bag, side)` and `peers[pid]` tables
     (see `relay_tables`), all built once here."""
 
-    def __init__(self, members, t, seed, constants, provenance=False, graph_tag=0):
+    def __init__(self, members, t, seed, constants, graph_tag=0):
         self.members = tuple(sorted(members))
         self.member_set = frozenset(self.members)
         self.k = len(self.members)
         self.constants = constants
-        self.provenance = provenance
 
         self.groups = make_groups(self.members)
         self.m = len(self.groups)
@@ -146,19 +146,6 @@ class Instance:
         """Every member but pid, as one tuple."""
         i = bisect_left(self.members, pid)
         return self.members[:i] + self.members[i + 1:]
-
-    # --- count algebra: ints normally, id sets in provenance mode --------
-    def zero(self):
-        return frozenset() if self.provenance else 0
-
-    def unit(self, pid):
-        return frozenset({pid}) if self.provenance else 1
-
-    def add(self, a, b):
-        return (a | b) if self.provenance else (a + b)
-
-    def val(self, a):
-        return len(a) if self.provenance else a
 
 
 def group_relay(inst, ctx, st, stage, counts_in):
@@ -249,63 +236,62 @@ def group_bits_aggregation(inst, ctx, st):
     Runs inst.stages relay stages (groups with shallower trees idle the
     trailing stages to stay in lockstep).  An operative process ends with
     the root counts of its group; whoever drops out keeps doing transmitter
-    duty but stops sourcing.  Returns (g_ones, g_zeros) or None.
+    duty but stops sourcing.  Returns the integer (g_ones, g_zeros) or None.
     """
-    gi = inst.group_of[ctx.pid]
-    layers = inst.trees[gi]
-    own_stages = len(layers) - 1
-
-    if st.operative:
-        ones = inst.unit(ctx.pid) if st.b == 1 else inst.zero()
-        zeros = inst.unit(ctx.pid) if st.b == 0 else inst.zero()
-    else:
-        ones = zeros = None
-
+    ones, zeros = (st.b, 1 - st.b) if st.operative else (None, None)
     for stage in range(1, inst.stages + 1):
-        if stage > own_stages:
+        role = inst.roles[stage].get(ctx.pid)
+        if role is None:    # p's tree is shallower: idle the stage
             for _ in range(3):
                 yield
             continue
         if st.operative and ones is not None:
-            counts_in = (inst.roles[stage][ctx.pid][1], ones, zeros)
+            counts_in = (role[1], ones, zeros)
         else:
             counts_in = None
         merged = yield from group_relay(inst, ctx, st, stage, counts_in)
         if merged is None:
             ones = zeros = None
         else:
-            lo, lz = merged.get("L", (inst.zero(), inst.zero()))
-            ro, rz = merged.get("R", (inst.zero(), inst.zero()))
-            ones, zeros = inst.add(lo, ro), inst.add(lz, rz)
+            lo, lz = merged.get("L", (0, 0))
+            ro, rz = merged.get("R", (0, 0))
+            ones, zeros = lo + ro, lz + rz
     if st.operative and ones is not None:
         return ones, zeros
     return None
 
 
-def delivery_rule(st, active, got, threshold, divisor):
-    """The operative/disregard rule of Chlebus & Kowalski's robust gossip,
-    applied after one round in which every active neighbor owed p exactly
-    one message: neighbors in `active` missing from `got` are disregarded
-    forever, and hearing from fewer than threshold / divisor of them makes
-    p inoperative.  Returns the neighbors still active."""
-    if len(got) < len(active):
-        st.disregarded.update(q for q in active if q not in got)
-        active = [q for q in active if q in got]
-    if len(got) * divisor < threshold:
+def delivery_rule(st, active, inbox, kind, threshold, divisor):
+    """The receive step of Chlebus & Kowalski's robust gossip, for a round
+    in which every active neighbor owed p exactly one message of `kind`.
+
+    Reads the round's `kind` messages from senders p has not disregarded;
+    neighbors in `active` that sent none are disregarded forever, and
+    hearing from fewer than threshold / divisor of them makes p
+    inoperative.  Returns the neighbors still active and {sender: body}
+    of the messages read, in sender order.
+    """
+    disregarded = st.disregarded
+    bodies = {s: payload[1] for s, payload in inbox
+              if payload[0] == kind and s not in disregarded}
+    if len(bodies) < len(active):
+        disregarded.update(q for q in active if q not in bodies)
+        active = [q for q in active if q in bodies]
+    if len(bodies) * divisor < threshold:
         st.operative = False
-    return active
+    return active, bodies
 
 
 def group_bits_spreading(inst, ctx, st, gpair):
     """Gossip every group's (ones, zeros) pair along the overlay.
 
     Each round p sends each non-disregarded neighbor only the entries that
-    edge has not carried yet (either direction); neighbors silent in a round
-    are disregarded forever, across epochs.  Receiving fewer messages than
-    degree-parameter / divisor in a round downgrades p to inoperative, which
-    idles it for this and all later epochs.  Returns (ones, zeros) summed
-    over the filled entries, or None for a process that is (or became)
-    inoperative.
+    edge has not carried yet (either direction), then receives through
+    `delivery_rule`: neighbors silent in a round are disregarded forever,
+    across epochs, and receiving fewer messages than degree-parameter /
+    divisor in a round downgrades p to inoperative, which idles it for this
+    and all later epochs.  Returns the integer (ones, zeros) summed over the
+    filled entries, or None for a process that is (or became) inoperative.
 
     Group i's entry is the tuple (i, ones, zeros), built once by its own
     members; every payload that carries it, and every receiver that stores
@@ -322,8 +308,7 @@ def group_bits_spreading(inst, ctx, st, gpair):
         gi = inst.group_of[ctx.pid]
         entries[gi] = (gi,) + gpair
         filled.append(gi)
-    disregarded = st.disregarded
-    active = [q for q in inst.neighbors[ctx.pid] if q not in disregarded]
+    active = [q for q in inst.neighbors[ctx.pid] if q not in st.disregarded]
     offered = 0      # prefix of `filled` already offered to every neighbor
     last = {}        # neighbor -> entries it sent p in the last round
     entry_bits = inst.gib + 2 * inst.cb
@@ -353,29 +338,15 @@ def group_bits_spreading(inst, ctx, st, gpair):
         if empties:
             # an empty pack update still signals liveness on the edge
             ctx.broadcast(empties, ("sp", ()), 0)
-        inbox = yield
-        got = set()
-        last = {}
-        for s, payload in inbox:
-            if payload[0] != "sp" or s in disregarded:
-                continue
-            got.add(s)
-            fresh = payload[1]
-            if not fresh:
-                continue
-            last[s] = fresh
-            if len(filled) < m:
+        active, last = delivery_rule(st, active, (yield), "sp", threshold, divisor)
+        if len(filled) < m:
+            for fresh in filter(None, last.values()):
                 for e in fresh:
                     i = e[0]
                     if entries[i] is None:
                         entries[i] = e
                         filled.append(i)
-        active = delivery_rule(st, active, got, threshold, divisor)
     if not st.operative:
         return None
-    ones = zeros = inst.zero()
-    for e in entries:
-        if e is not None:
-            ones = inst.add(ones, e[1])
-            zeros = inst.add(zeros, e[2])
-    return ones, zeros
+    known = [e for e in entries if e is not None]
+    return sum(e[1] for e in known), sum(e[2] for e in known)

@@ -16,9 +16,9 @@ flags stays inside them.
 
 from collections import Counter
 
-from .engine import ConfigError, log2_ceil
+from .engine import ConfigError, ProtoState, log2_ceil
 from .consensus import checked_constants, closing, decide_candidate, disseminate, main_core
-from .groups import Instance, ProtoState, delivery_rule, overlay, split_blocks
+from .groups import Instance, delivery_rule, overlay, split_blocks
 # unused here, but perfbench/tracing.py patches both names in this module
 from .fallback import run_fallback  # noqa: F401
 from .graphs import generate  # noqa: F401
@@ -104,24 +104,15 @@ class TradeoffConsensus:
                     yield
                     continue
                 ctx.broadcast(active, ("fl", cd), 0 if cd is None else 1)
-                inbox = yield
-                got = set()
-                best = None   # lowest-sender non-null value
-                for s, payload in inbox:
-                    if payload[0] != "fl" or s in st.disregarded:
-                        continue
-                    got.add(s)
-                    if payload[1] is not None and best is None:
-                        best = (s, payload[1])
-                if best is not None:
-                    if cd is None:
-                        cd = best[1]
-                    elif cd != best[1]:
+                active, bodies = delivery_rule(st, active, (yield), "fl",
+                                               threshold, divisor)
+                for s, value in bodies.items():
+                    if value is not None:   # the lowest sender's non-null value
                         # conflicting non-null decisions only show up in
                         # failure analyses; resolve by lowest carrier id
-                        if best[0] < ctx.pid:
-                            cd = best[1]
-                active = delivery_rule(st, active, got, threshold, divisor)
+                        if cd is None or (cd != value and s < ctx.pid):
+                            cd = value
+                        break
             if st.operative and cd is not None:
                 st.b = cd
 

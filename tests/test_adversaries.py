@@ -58,12 +58,12 @@ def test_crash_operative_floor():
 
 
 def test_crash_whole_group_leaves_other_counts_intact():
-    # provenance run of one epoch: crashing all of the first group removes
-    # exactly its members from everybody else's final counts
+    # one epoch: crashing all of the first group removes exactly its
+    # members from everybody else's final counts
     n, crashed = 25, {1, 2, 3, 4, 5}
     inputs = tuple(1 for _ in range(n))
     cfg = SystemConfig(n=n, t=5, seed=2, inputs=inputs, params=scaled())
-    inst = Instance(range(1, n + 1), 5, 2, scaled(), provenance=True)
+    inst = Instance(range(1, n + 1), 5, 2, scaled())
     dec, _, _ = run_execution(cfg, OneEpoch(inst),
                               CrashAsOmission({1: crashed}))
     for pid in range(6, n + 1):

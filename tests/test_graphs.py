@@ -136,6 +136,13 @@ def test_sparsity_cycle_true():
     assert check_edge_sparsity(cycle(5), 5, 1.0).ok
 
 
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_sparsity_single_vertex_sets_pass(mode):
+    # ell = 1 leaves no set that can span an edge
+    v = check_edge_sparsity(complete(10), 1, 0.0, mode=mode, trials=5)
+    assert v.ok and v.violations == 0
+
+
 def test_sparsity_greedy_heuristic_finds_planted_clique():
     rng = random.Random(3)
     base = [(a, b) for a in range(1, 40) for b in range(a + 1, 41) if rng.random() < 0.02]

@@ -1,8 +1,8 @@
 import pytest
 
-from omsim.engine import AdversaryStrategy, SystemConfig, run_execution
+from omsim.engine import AdversaryStrategy, ProtoState, SystemConfig, run_execution
 from omsim.groups import (
-    Instance, ProtoState, build_tree, make_groups, relay_tables,
+    Instance, build_tree, delivery_rule, make_groups, relay_tables,
     group_bits_aggregation, group_bits_spreading,
 )
 from omsim.params import scaled
@@ -27,14 +27,14 @@ class OneEpoch:
         if pair is None:
             ctx.decide(("none",))
         else:
-            ctx.decide((self.inst.val(pair[0]), self.inst.val(pair[1])))
+            ctx.decide(pair)
 
 
-def run_one_epoch(n, t, inputs, seed=1, adversary=None, provenance=False,
-                  record_level=0, constants=None):
+def run_one_epoch(n, t, inputs, seed=1, adversary=None, record_level=0,
+                  constants=None):
     constants = constants or scaled()
     cfg = SystemConfig(n=n, t=t, seed=seed, inputs=tuple(inputs), params=constants)
-    inst = Instance(range(1, n + 1), t, seed, constants, provenance=provenance)
+    inst = Instance(range(1, n + 1), t, seed, constants)
     return inst, run_execution(cfg, OneEpoch(inst), adversary, record_level=record_level)
 
 
@@ -121,24 +121,9 @@ def test_counts_exact_larger():
     assert all(v == (8, 17) for v, _ in dec.values())
 
 
-def test_provenance_tracks_contributors():
-    inst, (dec, _, _) = run_one_epoch(5, 0, (1, 1, 0, 1, 0), provenance=True)
-    for pid in range(1, 6):
-        ones, zeros = dec[pid][0]
-        assert ones == 3 and zeros == 2
-    # and in provenance mode the sets themselves are exposed pre-val; rerun
-    # the spreading result through a fresh instance to check membership
-    cfg_inputs = (1, 1, 0, 1, 0)
-    inst2 = Instance(range(1, 6), 0, 1, scaled(), provenance=True)
-    contributors_one = frozenset(p for p in range(1, 6) if cfg_inputs[p - 1] == 1)
-    assert inst2.unit(1) | inst2.unit(4) == frozenset({1, 4})
-    assert len(contributors_one) == 3
-
-
-def test_provenance_gossip_entries_are_shared_tuples():
+def test_gossip_entries_are_shared_tuples():
     inputs = tuple(1 if i % 3 == 0 else 0 for i in range(1, 26))
-    inst, (dec, trace, _) = run_one_epoch(25, 0, inputs, seed=3, provenance=True,
-                                          record_level=1)
+    inst, (dec, trace, _) = run_one_epoch(25, 0, inputs, seed=3, record_level=1)
     by_group = {}
     for rec in trace.rounds:
         for msg in rec.messages:
@@ -148,12 +133,39 @@ def test_provenance_gossip_entries_are_shared_tuples():
     assert sorted(by_group) == list(range(inst.m))
     for i, carried in by_group.items():
         group = inst.groups[i]
-        ones = frozenset(p for p in group if inputs[p - 1] == 1)
-        zeros = frozenset(group) - ones
-        assert all(e == (i, ones, zeros) for e in carried)
+        ones = sum(inputs[p - 1] for p in group)
+        assert all(e == (i, ones, len(group) - ones) for e in carried)
         # built once per member of group i, then only passed on
         assert len({id(e) for e in carried}) <= len(group)
     assert all(v == (8, 17) for v, _ in dec.values())
+
+
+# --- the shared receive step ---------------------------------------------
+
+def test_delivery_rule_reads_one_kind_and_disregards_the_silent():
+    st = ProtoState(0)
+    st.disregarded = {9}
+    inbox = [(2, ("sp", "b2")), (3, ("fl", "x")), (5, ("sp", ())), (7, ("sp", "b7")),
+             (9, ("sp", "b9"))]
+    active, bodies = delivery_rule(st, [2, 3, 5, 7], inbox, "sp", 4, 1)
+    # 3 sent only another kind: silent here; 9 stays disregarded
+    assert active == [2, 5, 7]
+    assert st.disregarded == {3, 9}
+    assert list(bodies.items()) == [(2, "b2"), (5, ()), (7, "b7")]
+    assert not st.operative          # heard 3 of 4 with divisor 1
+
+
+def test_delivery_rule_threshold_over_divisor():
+    inbox = [(1, ("fl", None)), (4, ("fl", 1))]
+    for threshold, operative in ((4, True), (5, False)):
+        st = ProtoState(0)
+        active, bodies = delivery_rule(st, [1, 4, 6], inbox, "fl", threshold, 2)
+        assert active == [1, 4] and st.disregarded == {6}
+        assert bodies == {1: None, 4: 1}
+        assert st.operative is operative   # heard 2: 2 * 2 < threshold?
+    st = ProtoState(0)
+    active, bodies = delivery_rule(st, [1, 4], inbox, "fl", 4, 2)
+    assert active == [1, 4] and not st.disregarded and st.operative
 
 
 class SilenceSet(AdversaryStrategy):

@@ -182,6 +182,26 @@ def test_cli_coin_game_over_budget_exit_2():
     assert_config_exit(CliRunner().invoke(cli_main, ["coin-game", "--k", "30"]))
 
 
+@pytest.mark.parametrize("args", [
+    ["coin-game", "--mode", "mc", "--trials", "0"],
+    ["coin-game", "--mode", "mc", "--trials=-5"],
+    ["coin-game", "--anti-concentration", "--trials", "0"],
+    ["coin-game", "--coeff=-1"],
+    ["graph-check", "-n", "40", "--trials", "0"],
+    ["graph-check", "-n", "40", "--delta", "0"],
+])
+def test_cli_bad_numeric_inputs_exit_2(args):
+    assert_config_exit(CliRunner().invoke(cli_main, args))
+
+
+def test_cli_graph_check_small_n_exits_0():
+    # n = 10 makes ell = 1, where no vertex set can break sparsity
+    res = CliRunner().invoke(cli_main, ["graph-check", "-n", "10"])
+    assert res.exit_code == 0, res.output
+    [verdict] = json.loads(res.output)["edge_sparse"].values()
+    assert verdict["ok"]
+
+
 def test_cli_malformed_json_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
