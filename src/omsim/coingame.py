@@ -161,6 +161,8 @@ def anti_concentration_check(n, tau, trials=10 ** 6, seed=0):
     """Estimate Pr(X - n/2 >= tau * sqrt(n)) for X a sum of n fair bits and
     return it next to the analytic lower bound exp(-4(tau+1)^2)/sqrt(2*pi).
     The bound only claims validity for tau <= sqrt(n)/8."""
+    if n < 1:
+        raise ConfigError("need n >= 1, got %d" % n)
     if tau > math.sqrt(n) / 8:
         raise ConfigError("tau exceeds sqrt(n)/8")
     check_trials(trials)

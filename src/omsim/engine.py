@@ -278,6 +278,11 @@ class Context:
         # one private stream per process; bits materialize only on access
         self._rng = random.Random("%d:%d" % (engine.config.seed, pid))
 
+    @property
+    def round(self):
+        """The engine round whose local phase is running."""
+        return self._engine.round
+
     def send(self, receiver, payload, bits):
         if receiver == self.pid:
             raise ConfigError("self-send")
@@ -407,8 +412,10 @@ class Engine:
             rec.messages = []
             rec.omitted_messages = []
         sent = bits = omitted = 0
-        # pre-bound appends; a finished process's slot keeps nothing
+        # pre-bound appends; a finished process's slot keeps nothing, and
+        # once every process has finished nothing is delivered, only counted
         appends = [id if g is None else box.append for g, box in zip(gens, inbox)]
+        live = any(g is not None for g in gens)
         for sender, receivers, payload, b in outbox:
             k = len(receivers)
             sent += k
@@ -435,9 +442,10 @@ class Engine:
                     keep = set(kept)
                     rec.omitted_messages.extend(Message(sender, q, payload, b)
                                                 for q in receivers if q not in keep)
-            pair = (sender, payload)
-            for q in kept:
-                appends[q](pair)
+            if live:
+                pair = (sender, payload)
+                for q in kept:
+                    appends[q](pair)
         rec.sent, rec.bits, rec.omitted = sent, bits, omitted
 
     # general path: per-message pending list, two observation hooks

@@ -14,6 +14,7 @@ re-verifies independently.
 """
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -38,6 +39,8 @@ class GraphConfig:
 
     @classmethod
     def from_coeff(cls, n, coeff, seed):
+        if not 0 < coeff < math.inf:
+            raise ConfigError("need a finite coeff > 0, got %r" % coeff)
         return cls(n=n, delta=max(1, int(round(coeff * log2_ceil(n)))), seed=seed)
 
 
@@ -130,7 +133,6 @@ class Verdict:
 
 
 def _binom(n, k):
-    import math
     return math.comb(n, k) if 0 <= k <= n else 0
 
 
@@ -322,6 +324,8 @@ def certify(graph, delta, ell=None, alpha=None, mode="sampled", trials=2000, see
     n = graph.n
     ell = ell if ell is not None else max(1, n // 10)
     alpha = alpha if alpha is not None else delta / 15
+    if not alpha > 0:
+        raise ConfigError("need alpha > 0, got %r" % alpha)
     rep = GraphPropertyReport(n=n, delta=delta, degrees=graph.degree_range())
     try:
         rep.expanding[ell] = check_expansion(graph, ell, mode=mode, trials=trials, seed=seed)

@@ -11,9 +11,14 @@ which precomputes the partition, trees, overlay neighborhoods and round
 schedule for one consensus scope; the trade-off protocol instantiates these
 on super-process subsets.  The Instance also builds, once, the tables the
 relay reads on every call (`relay_tables`): per stage, each member's
-`(bag, side)` role, and each member's group peers.  The gossip carries each
-group's pair as one `(i, ones, zeros)` entry tuple, built once by the
-group's members and then shared by every payload and every receiver.
+`(bag, side)` role, and each member's group peers.  The relay's merge is
+shared per round: it is a pure function of the sources a member knows of,
+so it is built once per round for each such source set, keyed by it, and
+every member that knows of the same sources reads that one merge
+(`shared_merge`).  The gossip carries each group's pair as one
+`(i, ones, zeros)` entry tuple, built once by the group's members and then
+shared by every payload and every receiver; a round's new entries go out
+as one payload, shared by every neighbor that sent p nothing last round.
 Counts are plain integers throughout.
 
 The gossip and the trade-off protocol's flooding receive through one step,
@@ -141,11 +146,48 @@ class Instance:
         self.gib = group_index_bits(self.k)
 
         self.roles, self.peers = relay_tables(self.groups, self.trees)
+        # the relay's shared merges of the current round (`shared_merge`)
+        self.merge_round, self.merges = None, {}
 
     def others(self, pid):
         """Every member but pid, as one tuple."""
         i = bisect_left(self.members, pid)
         return self.members[:i] + self.members[i + 1:]
+
+
+def shared_merge(inst, rnd, stage, sources):
+    """The round-1 merge of one set of relay sources, built once per round
+    and shared by every member that heard exactly those sources.
+
+    sources is the sorted tuple of (sender, rc payload) pairs a member
+    knows of: what it heard, plus its own when it sourced.  Walking them in
+    ascending order, each role takes its lowest sender's counts.  Returns
+    bag -> (entries, ("rm", entries), bits) in order of each bag's lowest
+    source, entries being the bag's sorted (side, ones, zeros) tuples.
+
+    The key holds the payloads, not only the senders, so it is exact for
+    any inbox; the cache keeps one round's merges and is dropped when the
+    round changes.
+    """
+    if inst.merge_round != rnd:
+        inst.merge_round, inst.merges = rnd, {}
+    key = (stage, sources)
+    by_bag = inst.merges.get(key)
+    if by_bag is None:
+        roles = inst.roles[stage]
+        seen = set()
+        by_bag = {}
+        for s, payload in sources:
+            role = roles[s]
+            if role not in seen:
+                seen.add(role)
+                by_bag.setdefault(role[0], []).append(payload[1:])
+        entry_bits = 1 + 2 * inst.cb
+        for bag, entries in by_bag.items():
+            entries = tuple(sorted(entries))
+            by_bag[bag] = (entries, ("rm", entries), len(entries) * entry_bits)
+        inst.merges[key] = by_bag
+    return by_bag
 
 
 def group_relay(inst, ctx, st, stage, counts_in):
@@ -155,9 +197,10 @@ def group_relay(inst, ctx, st, stage, counts_in):
     the whole group.  Round 2: every group member confirms, one bit, to each
     source it heard; a source short of a majority of the group (its own copy
     included) goes inoperative.  Round 3: every member relays its merged
-    per-side sets to the bag; sources short of a majority of merges also go
-    inoperative.  Conflicting candidates for a side resolve to the lowest
-    sender id (inboxes arrive in sender order, first write wins).
+    per-side sets to the bag, its own bag first when it sourced; sources
+    short of a majority of merges also go inoperative.  Conflicting
+    candidates for a side resolve to the lowest sender id.  Members that
+    know of the same sources share one merge (`shared_merge`).
 
     counts_in is (side, ones, zeros) or None when p holds nothing to source
     (inoperative processes still do all the transmitter work).  Returns the
@@ -165,58 +208,48 @@ def group_relay(inst, ctx, st, stage, counts_in):
     or went inoperative.
     """
     pid = ctx.pid
-    peers = inst.peers[pid]
-    W = len(peers) + 1
-    roles = inst.roles[stage]
-    my_bag = roles[pid][0]
-    pair_bits = 2 * inst.cb
-    sourcing = st.operative and counts_in is not None
+    W = len(inst.peers[pid]) + 1
+    my_bag = inst.roles[stage][pid][0]
+    sourced = st.operative and counts_in is not None
 
     # round 1: sources -> group
-    if sourcing:
+    if sourced:
         own = ("rc",) + counts_in
-        ctx.broadcast(peers, own, 1 + pair_bits)
+        ctx.broadcast(inst.peers[pid], own, 1 + 2 * inst.cb)
     inbox = yield
 
-    # transmitter merge, own contribution first so its bag leads round 3:
-    # role -> (sender, payload) of the role's lowest sender
-    merged = {roles[pid]: (pid, own)} if sourcing else {}
-    heard = []
-    for item in inbox:
-        s, payload = item
-        if payload[0] == "rc":
-            heard.append(s)
-            role = roles[s]
-            first = merged.get(role)
-            if first is None or s < first[0]:
-                merged[role] = item
+    # heard in sender order, as inboxes arrive; the merge sorts its sources
+    heard = [item for item in inbox if item[1][0] == "rc"]
+    sources = heard + [(pid, own)] if sourced else heard
+    by_bag = shared_merge(inst, ctx.round, stage, tuple(sorted(sources)))
 
     # round 2: confirmations back to the sources we heard
-    ctx.broadcast(heard, RK, 1)
+    ctx.broadcast([s for s, _ in heard], RK, 1)
     inbox = yield
-    if sourcing:
+    if sourced:
         confirmations = 1 + list(map(_payload, inbox)).count(RK)
         if 2 * confirmations < W + 2:
             st.operative = False
-            sourcing = False
 
     # round 3: merged sets to every potential source of each bag we hold
-    by_bag = {}
-    for (bag, _), (_, payload) in merged.items():
-        by_bag.setdefault(bag, []).append(payload[1:])
-    for bag, entries in by_bag.items():
-        entries = by_bag[bag] = tuple(sorted(entries))
+    i = my_bag.index(pid)
+    bag_peers = my_bag[:i] + my_bag[i + 1:]
+    if sourced:
+        _, payload, bits = by_bag[my_bag]
+        ctx.broadcast(bag_peers, payload, bits)
+    for bag, (_, payload, bits) in by_bag.items():
         if bag is my_bag:
-            i = bag.index(pid)
-            bag = bag[:i] + bag[i + 1:]
-        ctx.broadcast(bag, ("rm", entries), len(entries) * (1 + pair_bits))
+            if sourced:
+                continue
+            bag = bag_peers
+        ctx.broadcast(bag, payload, bits)
     inbox = yield
-    if not sourcing:
+    if not (sourced and st.operative):
         return None
 
     # own merged copy counts toward the majority too
     candidates = [(s, payload[1]) for s, payload in inbox if payload[0] == "rm"]
-    candidates.append((pid, by_bag[my_bag]))
+    candidates.append((pid, by_bag[my_bag][0]))
     candidates.sort()
     result = {}
     for _, entries in candidates:   # ascending sender id, first write wins
@@ -326,9 +359,16 @@ def group_bits_spreading(inst, ctx, st, gpair):
         offered = len(filled)
         empties = []
         if new:
+            # one payload for every neighbor that sent p nothing last round
+            every = ("sp", tuple(map(entries.__getitem__, new)))
+            every_bits = len(new) * entry_bits
             for q in active:
+                got = last.get(q)
+                if not got:
+                    ctx.send(q, every, every_bits)
+                    continue
                 fresh = tuple(map(entries.__getitem__, filterfalse(
-                    set(map(_index, last.get(q, ()))).__contains__, new)))
+                    set(map(_index, got)).__contains__, new)))
                 if fresh:
                     ctx.send(q, ("sp", fresh), len(fresh) * entry_bits)
                 else:

@@ -134,6 +134,9 @@ def test_anti_concentration_tau_half():
 def test_anti_concentration_precondition():
     with pytest.raises(ConfigError):
         anti_concentration_check(16, 1.0)
+    for n in (0, -5):   # no bits to sum: no estimate, and no sqrt(n)
+        with pytest.raises(ConfigError):
+            anti_concentration_check(n, 0)
 
 
 def test_normalization_checked():

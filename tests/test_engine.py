@@ -6,6 +6,8 @@ from omsim.engine import (
     ConfigError, AdversaryViolation, LivenessFailure,
     count_bits, group_index_bits, chain_bits, log2_ceil, isqrt_ceil,
 )
+from omsim.harness import make_adversary, make_protocol, resolve_inputs
+from omsim.params import acceptance
 
 
 class Echo:
@@ -238,3 +240,26 @@ def test_metrics_revalidate_and_trace_verify():
     trace.rounds[0].rand_accesses -= 1
     with pytest.raises(AssertionError):
         m.revalidate(trace)
+
+
+@pytest.mark.parametrize("adversary", ["none", "coin-biaser"])
+def test_messages_to_finished_processes_still_count(adversary):
+    # main at n=64 falls back: in its last round every process broadcasts
+    # the fallback's value and finishes, so no running process is left to
+    # deliver to; the counts must still hold every `fd` message
+    n, t = 64, 2
+    cfg = SystemConfig(n=n, t=t, seed=0, inputs=resolve_inputs(None, n),
+                       params=acceptance())
+    runs = [run_execution(cfg, make_protocol(cfg), make_adversary(adversary, n, t),
+                          record_level=level) for level in (0, 1)]
+    (_, plain, _), (dec, trace, m) = runs
+    assert len(dec) == n and {r for _, r in dec.values()} == {m.T}
+    last = trace.rounds[-1]
+    assert {msg.payload[0] for msg in last.messages} == {"fd"}
+    assert last.sent == len(last.messages) == n * (n - 1) == last.bits
+    assert last.omitted == len(last.omitted_messages)
+    if adversary != "none":
+        assert last.omitted > 0         # silenced endpoints, counted too
+    assert m.revalidate(trace)
+    assert [(r.sent, r.bits, r.omitted) for r in plain.rounds] == \
+        [(r.sent, r.bits, r.omitted) for r in trace.rounds]

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from omsim.engine import BudgetExceeded
+from omsim.engine import BudgetExceeded, ConfigError
 from omsim.graphs import (
     GraphConfig, OverlayGraph, generate, certify,
     check_expansion, check_edge_sparsity, internal_edges,
@@ -26,6 +26,22 @@ def cycle(n):
 def random_graph(n, p, rng):
     edges = [(a, b) for a in range(1, n) for b in range(a + 1, n + 1) if rng.random() < p]
     return OverlayGraph(n, edges)
+
+
+def test_from_coeff_takes_only_a_finite_positive_coeff():
+    # the certify benchmark's two densities: delta = coeff * ceil(log2 200)
+    assert GraphConfig.from_coeff(200, 18.0, 0).delta == 144
+    assert GraphConfig.from_coeff(200, 3.0, 0).delta == 24
+    for coeff in (float("nan"), -3.0, 0.0, float("inf")):
+        with pytest.raises(ConfigError):
+            GraphConfig.from_coeff(200, coeff, 0)
+
+
+def test_certify_takes_only_a_positive_alpha():
+    g = complete(6)
+    for alpha in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ConfigError):
+            certify(g, 5, alpha=alpha, mode="exact")
 
 
 # --- generation ----------------------------------------------------------

@@ -1,5 +1,8 @@
 import pytest
 
+from omsim import groups
+from omsim.adversaries import Eclipse
+from omsim.consensus import MainConsensus
 from omsim.engine import AdversaryStrategy, ProtoState, SystemConfig, run_execution
 from omsim.groups import (
     Instance, build_tree, delivery_rule, make_groups, relay_tables,
@@ -235,3 +238,176 @@ def test_empty_gossip_messages_cost_nothing():
         for msg in rec.messages or ():
             if msg.payload[0] == "sp" and not msg.payload[1]:
                 assert msg.bits == 0
+
+
+# --- the relay against a per-member reference ----------------------------
+
+def reference_relay(inst, ctx, st, stage, counts_in):
+    """The relay as each member computed it on its own, before members
+    that know of the same sources shared one merge: the oracle for
+    `group_relay`'s outbox entries, their order and its result."""
+    pid = ctx.pid
+    peers = inst.peers[pid]
+    W = len(peers) + 1
+    roles = inst.roles[stage]
+    my_bag = roles[pid][0]
+    pair_bits = 2 * inst.cb
+    sourcing = st.operative and counts_in is not None
+
+    if sourcing:
+        own = ("rc",) + counts_in
+        ctx.broadcast(peers, own, 1 + pair_bits)
+    inbox = yield
+
+    # role -> (sender, payload) of its lowest sender, own role first
+    merged = {roles[pid]: (pid, own)} if sourcing else {}
+    heard = []
+    for item in inbox:
+        s, payload = item
+        if payload[0] == "rc":
+            heard.append(s)
+            role = roles[s]
+            first = merged.get(role)
+            if first is None or s < first[0]:
+                merged[role] = item
+
+    ctx.broadcast(heard, ("rk",), 1)
+    inbox = yield
+    if sourcing:
+        confirmations = 1 + [payload for _, payload in inbox].count(("rk",))
+        if 2 * confirmations < W + 2:
+            st.operative = False
+            sourcing = False
+
+    by_bag = {}
+    for (bag, _), (_, payload) in merged.items():
+        by_bag.setdefault(bag, []).append(payload[1:])
+    for bag, entries in by_bag.items():
+        entries = by_bag[bag] = tuple(sorted(entries))
+        if bag is my_bag:
+            i = bag.index(pid)
+            bag = bag[:i] + bag[i + 1:]
+        ctx.broadcast(bag, ("rm", entries), len(entries) * (1 + pair_bits))
+    inbox = yield
+    if not sourcing:
+        return None
+
+    candidates = [(s, payload[1]) for s, payload in inbox if payload[0] == "rm"]
+    candidates.append((pid, by_bag[my_bag]))
+    candidates.sort()
+    result = {}
+    for _, entries in candidates:
+        for side, ones, zeros in entries:
+            result.setdefault(side, (ones, zeros))
+    if 2 * len(candidates) < W + 2:
+        st.operative = False
+        return None
+    return result
+
+
+class Tap:
+    """Stands in for a Context: keeps each outbox entry the engine would
+    queue, and passes it on to the real context when there is one."""
+
+    def __init__(self, pid, ctx=None):
+        self.pid = pid
+        self.ctx = ctx
+        self.entries = []
+
+    @property
+    def round(self):
+        return self.ctx.round
+
+    def broadcast(self, receivers, payload, bits):
+        if receivers:
+            self.entries.append((tuple(receivers), payload, bits))
+        if self.ctx is not None:
+            self.ctx.broadcast(receivers, payload, bits)
+
+
+def relay_against_reference(monkeypatch):
+    """Route every relay call through a check against `reference_relay`
+    run on the same inboxes; returns the calls seen, one
+    (round, pid, stage, counts_in, known sources, result) each."""
+    real_relay = groups.group_relay
+    calls = []
+
+    def checked(inst, ctx, st, stage, counts_in):
+        ref_st = ProtoState(st.b)
+        ref_st.operative = st.operative
+        sourced = st.operative and counts_in is not None
+        tap, ref_tap = Tap(ctx.pid, ctx), Tap(ctx.pid)
+        gens = (real_relay(inst, tap, st, stage, counts_in),
+                reference_relay(inst, ref_tap, ref_st, stage, counts_in))
+        rnd, inbox, known = ctx.round, None, None
+        while True:
+            stops = []
+            for gen in gens:
+                try:
+                    gen.send(inbox)
+                    stops.append(None)
+                except StopIteration as stop:
+                    stops.append(stop)
+            assert tap.entries == ref_tap.entries, (ctx.round, ctx.pid)
+            tap.entries, ref_tap.entries = [], []
+            if stops != [None, None]:
+                assert None not in stops
+                result = stops[0].value
+                assert result == stops[1].value
+                assert st.operative == ref_st.operative
+                calls.append((rnd, ctx.pid, stage, counts_in, known, result))
+                return result
+            inbox = yield
+            if known is None:
+                known = frozenset([s for s, pl in inbox if pl[0] == "rc"]
+                                  + ([ctx.pid] if sourced else []))
+
+    monkeypatch.setattr(groups, "group_relay", checked)
+    return calls
+
+
+def run_main_checked(monkeypatch, n, t, inputs, adversary=None):
+    calls = relay_against_reference(monkeypatch)
+    cfg = SystemConfig(n=n, t=t, seed=1, inputs=tuple(inputs), params=scaled())
+    proto = MainConsensus(cfg)
+    dec, _, _ = run_execution(cfg, proto, adversary)
+    return proto.inst, calls, dec
+
+
+def test_relay_matches_reference_without_faults(monkeypatch):
+    inputs = tuple(1 if i % 3 else 0 for i in range(64))
+    inst, calls, dec = run_main_checked(monkeypatch, 64, 0, inputs)
+    # every member runs each stage of its own tree once per epoch
+    assert len(calls) == inst.epochs * sum(
+        len(g) * (len(tree) - 1) for g, tree in zip(inst.groups, inst.trees))
+    assert any(result is not None for *_, result in calls)
+    assert len({v for v, _ in dec.values()}) == 1
+
+
+def test_relay_matches_reference_when_peers_know_different_sources(monkeypatch):
+    inputs = tuple(i % 2 for i in range(64))
+    inst, calls, dec = run_main_checked(monkeypatch, 64, 2, inputs,
+                                        adversary=SilenceSet({2}))
+    # in one round, members of one group merge different source sets
+    seen = {}
+    for rnd, pid, stage, _, known, _ in calls:
+        seen.setdefault((rnd, inst.group_of[pid]), set()).add(known)
+    assert any(len(sets) > 1 for sets in seen.values())
+    honest = {v for p, (v, _) in dec.items() if p != 2}
+    assert len(honest) == 1
+
+
+def test_relay_matches_reference_across_eclipsed_epochs(monkeypatch):
+    inputs = tuple(i % 2 for i in range(64))
+    inst, calls, dec = run_main_checked(monkeypatch, 64, 2, inputs,
+                                        adversary=Eclipse({5}, rotation=2))
+    assert inst.epochs >= 2
+    # the same member's counts for the same stage moved between epochs, so
+    # a merge kept from an earlier round would have shown
+    per_slot = {}
+    for rnd, pid, stage, counts_in, _, _ in calls:
+        if counts_in is not None:
+            per_slot.setdefault((pid, stage), set()).add(counts_in)
+    assert any(len(seen) > 1 for seen in per_slot.values())
+    honest = {v for p, (v, _) in dec.items() if p != 5}
+    assert len(honest) == 1

@@ -189,6 +189,11 @@ def test_cli_coin_game_over_budget_exit_2():
     ["coin-game", "--coeff=-1"],
     ["graph-check", "-n", "40", "--trials", "0"],
     ["graph-check", "-n", "40", "--delta", "0"],
+    ["coin-game", "--anti-concentration", "--n=-5", "--tau", "0"],
+    ["coin-game", "--anti-concentration", "--n", "0", "--tau", "0"],
+    ["graph-check", "-n", "40", "--coeff", "nan"],
+    ["graph-check", "-n", "40", "--coeff=-3"],
+    ["graph-check", "-n", "40", "--alpha=-1"],
 ])
 def test_cli_bad_numeric_inputs_exit_2(args):
     assert_config_exit(CliRunner().invoke(cli_main, args))
