@@ -157,7 +157,7 @@ class Instance:
 
 def shared_merge(inst, rnd, stage, sources):
     """The round-1 merge of one set of relay sources, built once per round
-    and shared by every member that heard exactly those sources.
+    and shared by every member that knows of exactly those sources.
 
     sources is the sorted tuple of (sender, rc payload) pairs a member
     knows of: what it heard, plus its own when it sourced.  Walking them in
