@@ -74,7 +74,7 @@ class Eclipse(AdversaryStrategy):
 
     name = "eclipse"
 
-    def __init__(self, targets, rotation=2):
+    def __init__(self, targets, rotation):
         if rotation < 1:
             raise ConfigError("rotation must be >= 1")
         self.targets = frozenset(targets)

@@ -64,14 +64,13 @@ def main():
 @click.option("--seed", type=int, default=0)
 @click.option("--protocol", type=click.Choice(["main", "tradeoff"]), default="main")
 @click.option("--x", type=int, default=1, help="super-process count (tradeoff)")
-@click.option("--adversary",
-              type=click.Choice(["none", "crash", "eclipse", "coin-biaser"]),
+@click.option("--adversary", type=click.Choice(list(harness.ADVERSARY_OPTIONS)),
               default="none")
 @click.option("--schedule", type=click.Path(exists=True), default=None,
               help="crash schedule file: 'round: pid pid ...' per line")
 @click.option("--targets", default=None, help="eclipse targets, comma separated")
-@click.option("--rotation", type=int, default=2)
-@click.option("--direction", type=int, default=1)
+@click.option("--rotation", type=int, default=None)
+@click.option("--direction", type=int, default=None)
 @click.option("--inputs", default="alternating",
               help="ones | zeros | alternating | explicit bit string")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
@@ -86,7 +85,8 @@ def run(n, t, seed, protocol, x, adversary, schedule, targets, rotation,
     """Run one execution and emit its record."""
     overrides = load_json(config_path) if config_path else None
     constants = harness.build_constants(overrides, preset)
-    opts = {"rotation": rotation, "direction": direction}
+    opts = {key: value for key, value in (("rotation", rotation), ("direction", direction))
+            if value is not None}
     try:
         if schedule:
             with open(schedule) as fh:

@@ -64,13 +64,6 @@ def parity(values):
     return sum(1 for v in values if v == 1) % 2
 
 
-def threshold(c):
-    def fn(values):
-        return 1 if sum(1 for v in values if v == 1) >= c else 0
-    fn.__name__ = "threshold_%d" % c
-    return fn
-
-
 BUILTIN_F = {
     "majority": majority_ties_zero,
     "parity": parity,
@@ -126,13 +119,13 @@ def bias_probability(game, v, B, mode="exact", trials=20000, seed=0, budget=20):
     return hits / trials
 
 
-def hiding_budget(k, alpha, coeff=8.0, log_base=math.e):
+def hiding_budget(k, alpha, coeff=8.0):
     """The hiding allowance sufficient to bias with probability 1 - alpha."""
     if not 0 < alpha < 1:
         raise ConfigError("alpha must be in (0, 1)")
-    if not coeff >= 0:
-        raise ConfigError("coeff must be >= 0, got %s" % coeff)
-    return math.ceil(coeff * math.sqrt(k * math.log(1 / alpha, log_base)))
+    if not 0 <= coeff < math.inf:
+        raise ConfigError("coeff must be finite and >= 0, got %s" % coeff)
+    return math.ceil(coeff * math.sqrt(k * math.log(1 / alpha)))
 
 
 @dataclass
@@ -149,8 +142,8 @@ class BiasReport:
                 "probability": {str(v): float(p) for v, p in self.probability.items()}}
 
 
-def bias_report(game, alpha, coeff=8.0, log_base=math.e, mode="exact", **kw):
-    B = hiding_budget(game.k, alpha, coeff=coeff, log_base=log_base)
+def bias_report(game, alpha, coeff=8.0, mode="exact", **kw):
+    B = hiding_budget(game.k, alpha, coeff=coeff)
     rep = BiasReport(k=game.k, alpha=alpha, budget=B, mode=mode)
     for v in (0, 1):
         rep.probability[v] = bias_probability(game, v, B, mode=mode, **kw)
@@ -163,6 +156,8 @@ def anti_concentration_check(n, tau, trials=10 ** 6, seed=0):
     The bound only claims validity for tau <= sqrt(n)/8."""
     if n < 1:
         raise ConfigError("need n >= 1, got %d" % n)
+    if not math.isfinite(tau):
+        raise ConfigError("need a finite tau, got %r" % tau)
     if tau > math.sqrt(n) / 8:
         raise ConfigError("tau exceeds sqrt(n)/8")
     check_trials(trials)

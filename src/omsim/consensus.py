@@ -12,7 +12,7 @@ All threshold comparisons are exact integer cross-multiplications.
 """
 
 from .engine import ConfigError
-from .fallback import run_fallback
+from .fallback import rounds_needed, run_fallback
 from .groups import Instance, group_bits_aggregation, group_bits_spreading
 from .params import Constants, check_threshold_gap
 
@@ -104,7 +104,7 @@ def closing(ctx, st, informed, t, targets):
         return
     if not st.operative:
         # t + 3 rounds cover the flooding plus the announcement hop
-        for _ in range(t + 3):
+        for _ in range(rounds_needed(t) + 2):
             inbox = yield
             for s, payload in inbox:
                 if payload[0] == "fd":
@@ -127,7 +127,6 @@ class MainConsensus:
     def __init__(self, config):
         constants = checked_constants(config, "main_fault_bound")
         self.config = config
-        self.constants = constants
         self.inst = Instance(range(1, config.n + 1), config.t, config.seed, constants)
         self.closed_form_T = self.inst.epochs * self.inst.epoch_rounds + 2
 

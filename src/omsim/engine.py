@@ -283,11 +283,6 @@ class Context:
         """The engine round whose local phase is running."""
         return self._engine.round
 
-    def send(self, receiver, payload, bits):
-        if receiver == self.pid:
-            raise ConfigError("self-send")
-        self._engine.outbox.append((self.pid, (receiver,), payload, bits))
-
     def broadcast(self, receivers, payload, bits):
         if receivers:
             self._engine.outbox.append((self.pid, tuple(receivers), payload, bits))

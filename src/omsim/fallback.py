@@ -58,7 +58,7 @@ def run_fallback(ctx, value, t, targets):
     everybody and non-participants simply ignore the traffic).
     Returns the decided bit."""
     proc = ChainFlooder(ctx.pid, value, t)
-    for r in range(1, t + 2):
+    for r in range(1, rounds_needed(t) + 1):
         for v, chain in proc.take_pending():
             ctx.broadcast(targets, ("fb", v, chain), 1 + chain_bits(len(chain), ctx.n))
         inbox = yield
@@ -73,7 +73,7 @@ def reference_run(inputs, t, omissions=None):
     omissions = omissions or set()
     pids = sorted(inputs)
     procs = {p: ChainFlooder(p, inputs[p], t) for p in pids}
-    for r in range(1, t + 2):
+    for r in range(1, rounds_needed(t) + 1):
         outgoing = {p: procs[p].take_pending() for p in pids}
         for q in pids:
             box = []

@@ -81,29 +81,6 @@ class OverlayGraph:
         degs = [self.degree(p) for p in range(1, self.n + 1)]
         return min(degs), max(degs)
 
-    # -- text interchange: one line per vertex, "id: n1 n2 ..." -----------
-    def to_text(self):
-        lines = []
-        for p in range(1, self.n + 1):
-            lines.append("%d: %s" % (p, " ".join(str(q) for q in self.adj[p])))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text):
-        adj = {}
-        for line in text.strip().splitlines():
-            head, _, rest = line.partition(":")
-            p = int(head)
-            adj[p] = [int(x) for x in rest.split()]
-        n = max(adj) if adj else 0
-        edges = set()
-        for p, qs in adj.items():
-            for q in qs:
-                if q not in adj or p not in adj[q]:
-                    raise ConfigError("asymmetric adjacency at %d-%d" % (p, q))
-                edges.add((min(p, q), max(p, q)))
-        return cls(n, edges)
-
 
 def generate(config):
     """Sample the overlay deterministically from the generation seed."""
@@ -305,7 +282,6 @@ class GraphPropertyReport:
     degrees: tuple = (0, 0)
     expanding: dict = field(default_factory=dict)     # ell -> Verdict
     edge_sparse: dict = field(default_factory=dict)   # (ell, alpha) -> Verdict
-    survival: dict = field(default_factory=dict)
 
     def to_dict(self):
         return {
@@ -313,7 +289,6 @@ class GraphPropertyReport:
             "degrees": list(self.degrees),
             "expanding": {str(k): v.to_dict() for k, v in self.expanding.items()},
             "edge_sparse": {str(k): v.to_dict() for k, v in self.edge_sparse.items()},
-            "survival": {str(k): sorted(v) for k, v in self.survival.items()},
         }
 
 
@@ -324,8 +299,8 @@ def certify(graph, delta, ell=None, alpha=None, mode="sampled", trials=2000, see
     n = graph.n
     ell = ell if ell is not None else max(1, n // 10)
     alpha = alpha if alpha is not None else delta / 15
-    if not alpha > 0:
-        raise ConfigError("need alpha > 0, got %r" % alpha)
+    if not 0 < alpha < math.inf:
+        raise ConfigError("need a finite alpha > 0, got %r" % alpha)
     rep = GraphPropertyReport(n=n, delta=delta, degrees=graph.degree_range())
     try:
         rep.expanding[ell] = check_expansion(graph, ell, mode=mode, trials=trials, seed=seed)

@@ -365,12 +365,12 @@ def group_bits_spreading(inst, ctx, st, gpair):
             for q in active:
                 got = last.get(q)
                 if not got:
-                    ctx.send(q, every, every_bits)
+                    ctx.broadcast((q,), every, every_bits)
                     continue
                 fresh = tuple(map(entries.__getitem__, filterfalse(
                     set(map(_index, got)).__contains__, new)))
                 if fresh:
-                    ctx.send(q, ("sp", fresh), len(fresh) * entry_bits)
+                    ctx.broadcast((q,), ("sp", fresh), len(fresh) * entry_bits)
                 else:
                     empties.append(q)
         else:

@@ -117,10 +117,20 @@ def int_option(opts, key, default):
     return value
 
 
+# each adversary's name and the options it takes; any other key is a config error
+ADVERSARY_OPTIONS = {"none": (), "crash": ("schedule",), "eclipse": ("targets", "rotation"),
+                     "coin-biaser": ("direction",)}
+
+
 def make_adversary(name, n, t, opts=None):
     opts = {} if opts is None else opts
     if not isinstance(opts, dict):
         raise ConfigError("adversary options must be an object, got %r" % (opts,))
+    if not isinstance(name, str) or name not in ADVERSARY_OPTIONS:
+        raise ConfigError("unknown adversary %r" % name)
+    unknown = sorted(map(str, set(opts) - set(ADVERSARY_OPTIONS[name])))
+    if unknown:
+        raise ConfigError("adversary %s takes no option %s" % (name, ", ".join(unknown)))
     if name == "none":
         return AdversaryStrategy()
     if name == "crash":
@@ -138,9 +148,7 @@ def make_adversary(name, n, t, opts=None):
             targets = tuple(range(1, max(1, t // 2) + 1)) if t else ()
         return Eclipse(checked_pids(targets, "eclipse targets"),
                        rotation=int_option(opts, "rotation", 2))
-    if name == "coin-biaser":
-        return CoinBiaser(int_option(opts, "direction", 1))
-    raise ConfigError("unknown adversary %r" % name)
+    return CoinBiaser(int_option(opts, "direction", 1))
 
 
 def run_record(n, t, seed, protocol="main", x=1, adversary="none",

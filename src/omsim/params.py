@@ -31,9 +31,6 @@ class Constants:
     # fault bounds: t < n / bound
     main_fault_bound: int = 30
     tradeoff_fault_bound: int = 60
-    # coin game hiding budget = ceil(coin_coeff * sqrt(k * log(1/alpha)))
-    coin_coeff: float = 8.0
-    coin_log_base: float = 2.718281828459045  # natural log
     # lower-bound sanity: T*(R+T) >= t^2 / (lower_bound_const * ceil(log2 n))
     lower_bound_const: int = 1024
 

@@ -6,7 +6,7 @@ import pytest
 from omsim.coingame import (
     UNBIASABLE, BiasReport, CoinGame, anti_concentration_check,
     bias_probability, bias_report, hide, hiding_budget, majority_ties_zero,
-    min_hiding, parity, threshold,
+    min_hiding, parity,
 )
 from omsim.engine import BudgetExceeded, ConfigError
 
@@ -21,8 +21,6 @@ def test_builtin_functions():
     assert majority_ties_zero((None, None)) == 0    # all hidden is a tie
     assert parity((1, 1, 0)) == 0
     assert parity((1, None, 0)) == 1
-    assert threshold(2)((1, 1, 0)) == 1
-    assert threshold(3)((1, 1, 0)) == 0
 
 
 def test_min_hiding_examples():

@@ -72,11 +72,6 @@ def test_generate_deterministic_and_simple():
     assert g3.adj != g1.adj
 
 
-def test_text_roundtrip():
-    g = generate(GraphConfig(n=30, delta=8, seed=7))
-    assert OverlayGraph.from_text(g.to_text()).adj == g.adj
-
-
 # --- expansion -----------------------------------------------------------
 
 def test_expansion_complete_true():

@@ -162,6 +162,10 @@ def assert_config_exit(res):
     ["--adversary", "eclipse", "--rotation", "0"],
     ["--adversary", "coin-biaser", "--direction", "5"],
     ["--adversary", "eclipse", "--targets", "1,2,3"],
+    ["--adversary", "crash", "--rotation", "3"],
+    ["--adversary", "crash", "--rotation", "0", "--direction", "7"],
+    ["--adversary", "none", "--direction", "1"],
+    ["--adversary", "coin-biaser", "--targets", "1"],
 ])
 def test_cli_bad_adversary_options_exit_2(extra):
     res = CliRunner().invoke(cli_main, ["run", "-n", "64", "-t", "2"] + extra)
@@ -194,6 +198,10 @@ def test_cli_coin_game_over_budget_exit_2():
     ["graph-check", "-n", "40", "--coeff", "nan"],
     ["graph-check", "-n", "40", "--coeff=-3"],
     ["graph-check", "-n", "40", "--alpha=-1"],
+    ["coin-game", "--anti-concentration", "--n", "100", "--tau", "nan", "--trials", "100"],
+    ["coin-game", "--anti-concentration", "--n", "100", "--tau=-inf", "--trials", "100"],
+    ["coin-game", "--coeff", "inf"],
+    ["graph-check", "-n", "40", "--alpha", "inf"],
 ])
 def test_cli_bad_numeric_inputs_exit_2(args):
     assert_config_exit(CliRunner().invoke(cli_main, args))
@@ -228,7 +236,7 @@ def test_run_sweep_unknown_cell_key_is_that_cells_error():
     assert records[1]["cell"] == 1 and "error" not in records[1]
 
 
-@pytest.mark.parametrize("overrides", [[1], {"delta_coeff": "x"}])
+@pytest.mark.parametrize("overrides", [[1], {"delta_coeff": "x"}, {"coin_coeff": 8.0}])
 def test_bad_constant_values_are_config_errors(tmp_path, overrides):
     with pytest.raises(ConfigError):
         build_constants(overrides, "scaled")
@@ -258,6 +266,11 @@ CRASH = {"n": 31, "t": 1, "adversary": "crash"}
     (dict(CRASH, adversary_opts={"schedule": [1]}), "ConfigError: a crash schedule is an object"),
     (dict(CRASH, adversary_opts={"schedule": {"x": [1]}}),
      "ConfigError: crash schedule rounds must be integers"),
+    (dict(ECLIPSE, adversary_opts={"rotaton": 3}),
+     "ConfigError: adversary eclipse takes no option rotaton"),
+    (dict(CRASH, adversary_opts={"rotation": 2}),
+     "ConfigError: adversary crash takes no option rotation"),
+    (dict(CRASH, adversary=["crash"]), "ConfigError: unknown adversary ['crash']"),
 ])
 def test_run_sweep_bad_value_type_is_that_cells_error(tmp_path, bad_cell, message):
     plan = {"cells": [bad_cell, {"n": 31, "t": 1, "seeds": 1}]}
