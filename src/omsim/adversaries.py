@@ -131,8 +131,7 @@ class CoinBiaser(AdversaryStrategy):
         if not candidates:
             return ()
         budget = obs.t - len(obs.corrupted)
-        boundaries = obs.meta.get("epoch_boundaries", ())
-        remaining = sum(1 for b in boundaries if b + 1 >= obs.round)
+        remaining = sum(1 for b in obs.epoch_boundaries if b + 1 >= obs.round)
         quota = budget // max(1, remaining)
         picked = frozenset(candidates[:quota])
         self.taken |= picked

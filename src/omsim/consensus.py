@@ -127,25 +127,10 @@ class MainConsensus:
     def __init__(self, config):
         constants = checked_constants(config, "main_fault_bound")
         self.config = config
-        self.inst = Instance(range(1, config.n + 1), config.t, config.seed, constants)
-        self.closed_form_T = self.inst.epochs * self.inst.epoch_rounds + 2
-
-    def meta(self):
-        inst = self.inst
-        return {
-            "protocol": self.name,
-            "epochs": inst.epochs,
-            "epoch_rounds": inst.epoch_rounds,
-            "stages": inst.stages,
-            "spreading_rounds": inst.spreading_rounds,
-            "groups": inst.m,
-            "delta": inst.delta,
-            "epoch_boundaries": [e * inst.epoch_rounds for e in range(1, inst.epochs + 1)],
-            "closed_form_T": self.closed_form_T,
-        }
-
-    def max_rounds(self):
-        return self.closed_form_T + self.config.t + 8
+        inst = self.inst = Instance(range(1, config.n + 1), config.t, config.seed, constants)
+        self.closed_form_T = inst.epochs * inst.epoch_rounds + 2
+        self.epoch_boundaries = tuple(e * inst.epoch_rounds
+                                      for e in range(1, inst.epochs + 1))
 
     def run(self, ctx):
         st = ctx.state

@@ -3,13 +3,15 @@
 Rounds have two phases: a local-computation phase (processes update state,
 draw random bits and queue outgoing messages) and a communication phase
 (queued messages are delivered, minus whatever a legal adversary omits).
-The adversary gets two hooks per round, one right after local computation
-and one mid-delivery, both with full information about states and the
-random bits drawn so far; bits not yet drawn are never materialized early.
+The adversary acts after local computation, with full information about
+states and the random bits drawn so far; bits not yet drawn are never
+materialized early.
 
-Protocols are generators driven by the engine: each `yield` ends the local
-phase for that round and resumes with the list of delivered (sender,
-payload) pairs from the communication phase of the same round.
+A protocol has `run(ctx)`, the generator each process runs: each `yield`
+ends the local phase for that round and resumes with the list of delivered
+(sender, payload) pairs from the communication phase of the same round. It
+also has `closed_form_T`, which sets the round budget closed_form_T + t + 8,
+and `epoch_boundaries`, the tuple of rounds that end an epoch.
 
 Communication bits count every message the sender emits, delivered or not;
 omission destroys messages in transit. Headers are free, payloads are
@@ -18,6 +20,8 @@ priced by the canonical encoding table (see `count_bits` and friends).
 
 import random
 from dataclasses import dataclass, field
+from itertools import count
+from operator import itemgetter
 
 
 class ConfigError(Exception):
@@ -131,18 +135,19 @@ class AdversaryObservation:
     drawn_bits: dict = field(default_factory=dict)  # pid -> list of values drawn this round
     pending: tuple = ()                             # Message tuple (general path)
     corrupted: frozenset = frozenset()
-    meta: dict = field(default_factory=dict)        # protocol schedule info
+    epoch_boundaries: tuple = ()                    # the protocol's epoch-ending rounds
 
 
 class AdversaryStrategy:
     """Base strategy: corrupts nothing, omits nothing.
 
-    Two ways to act. The structured interface (corruptions / silenced /
-    send_filter) lets the engine deliver in batches; the general interface
-    (a decide() override) sees every pending message and returns an
-    AdversaryAction per hook. The engine tells them apart, and whether there
-    is a send filter to call, by which of these methods the strategy's class
-    overrides. It enforces legality on both.
+    The hooks compose. Each round the engine takes the corruptions, omits
+    every message to or from a silenced process, and lets the send filter
+    thin a corrupted sender's entries. If the class overrides decide(), its
+    "send" and "deliver" hooks then see each message those kept, and may
+    corrupt and omit more: the only way to drop one message to a corrupted
+    receiver. decide() and send_filter() are called only where the class
+    overrides them; every hook's legality is enforced.
     """
 
     name = "none"
@@ -176,7 +181,7 @@ def adversary_view(engine, phase, pending=()):
         drawn_bits={p: list(v) for p, v in engine.drawn_this_round.items()},
         pending=tuple(pending),
         corrupted=frozenset(engine.trace.corrupted),
-        meta=engine.protocol_meta,
+        epoch_boundaries=engine.protocol.epoch_boundaries,
     )
 
 
@@ -315,7 +320,6 @@ class Engine:
         self.outbox = []
         self.drawn_this_round = {}
         self.trace = ExecutionTrace()
-        self.protocol_meta = protocol.meta()
 
     def run(self):
         cfg = self.config
@@ -336,7 +340,7 @@ class Engine:
         # the one record of liveness: a finished process's generator is None
         gens = [None] + [self.protocol.run(c) for c in ctxs]
         inbox = [None] * (n + 1)  # sending None into a new generator starts it
-        max_rounds = self.protocol.max_rounds()
+        max_rounds = self.protocol.closed_form_T + t + 8
         corrupted = self.trace.corrupted
         silenced = frozenset()
 
@@ -375,7 +379,7 @@ class Engine:
 
             # --- communication phase -------------------------------------
             if general:
-                self._deliver_general(outbox, inbox, gens, rec, t)
+                self._deliver_general(outbox, inbox, gens, rec, silenced, send_filter)
             else:
                 self._deliver_fast(outbox, inbox, gens, rec, silenced, send_filter)
 
@@ -397,11 +401,54 @@ class Engine:
                 raise LivenessFailure("non-faulty process %d ended undecided" % p)
         return dict(sorted(decisions.items())), self.trace
 
-    # batch path: standing silenced set plus optional per-batch send filter;
-    # gens[q] is None once q has finished
+    # Both delivery methods end in _transmit and differ only in where each
+    # entry's kept receivers come from: the batch hooks, and for the general
+    # one then decide()'s two hooks over one Message per receiver kept so
+    # far. Neither calls the other, so a wrapper around each sees a round once.
     def _deliver_fast(self, outbox, inbox, gens, rec, silenced, send_filter):
+        self._transmit(outbox, self._batch_kept(outbox, silenced, send_filter),
+                       inbox, gens, rec)
+
+    def _deliver_general(self, outbox, inbox, gens, rec, silenced, send_filter):
+        kept = list(self._batch_kept(outbox, silenced, send_filter))
+        for phase in ("send", "deliver"):
+            pending = [Message(sender, q, payload, b)
+                       for (sender, _, payload, b), ks in zip(outbox, kept) for q in ks]
+            action = self.adversary.decide(adversary_view(self, phase, pending))
+            # raises on an illegal action; the omit indices are positions in
+            # pending, which lists the kept receivers entry by entry
+            apply_adversary_action(action, pending, self.trace.corrupted, self.config.t)
+            self._absorb_corruptions(action.corrupt, rec)
+            pos = count()
+            kept = [[q for q in ks if next(pos) not in action.omit] for ks in kept]
+        self._transmit(outbox, kept, inbox, gens, rec)
+
+    def _batch_kept(self, outbox, silenced, send_filter):
+        """Each entry's receivers that the batch hooks keep: none of a
+        silenced sender's, what the send filter keeps of a corrupted
+        sender's, and never a silenced receiver."""
+        if not silenced and send_filter is None:
+            return map(itemgetter(1), outbox)
         corrupted = self.trace.corrupted
-        rnd = self.round
+        out = []
+        for sender, receivers, _, _ in outbox:
+            kept = () if sender in silenced else receivers
+            if kept and send_filter is not None and sender in corrupted:
+                kept = send_filter(self.round, sender, receivers)
+                unique = set(kept)
+                if len(unique) != len(kept) or not unique.issubset(receivers):
+                    raise AdversaryViolation(
+                        "send filter of process %d kept %r of receivers %r"
+                        % (sender, kept, receivers))
+            if silenced and not silenced.isdisjoint(kept):
+                kept = [q for q in kept if q not in silenced]
+            out.append(kept)
+        return out
+
+    # the one delivery accounting step: count every entry's messages, record
+    # the omitted ones in receiver order, and append the kept ones to the
+    # inboxes; gens[q] is None once q has finished
+    def _transmit(self, outbox, kept, inbox, gens, rec):
         full = self.record_level >= 1
         if full:
             rec.messages = []
@@ -411,61 +458,23 @@ class Engine:
         # once every process has finished nothing is delivered, only counted
         appends = [id if g is None else box.append for g, box in zip(gens, inbox)]
         live = any(g is not None for g in gens)
-        for sender, receivers, payload, b in outbox:
+        for (sender, receivers, payload, b), ks in zip(outbox, kept):
             k = len(receivers)
             sent += k
             bits += b * k
             if full:
                 rec.messages.extend(Message(sender, q, payload, b) for q in receivers)
-            # the receivers the adversary keeps; it may omit only on links
-            # that touch a corrupted process
-            kept = receivers
-            if sender in silenced:
-                kept = ()
-            elif send_filter is not None and sender in corrupted:
-                kept = send_filter(rnd, sender, receivers)
-                unique = set(kept)
-                if len(unique) != len(kept) or not unique.issubset(receivers):
-                    raise AdversaryViolation(
-                        "send filter of process %d kept %r of receivers %r"
-                        % (sender, kept, receivers))
-            if silenced and not silenced.isdisjoint(kept):
-                kept = [q for q in kept if q not in silenced]
-            if len(kept) != k:
-                omitted += k - len(kept)
+            if len(ks) != k:
+                omitted += k - len(ks)
                 if full:
-                    keep = set(kept)
+                    keep = set(ks)
                     rec.omitted_messages.extend(Message(sender, q, payload, b)
                                                 for q in receivers if q not in keep)
             if live:
                 pair = (sender, payload)
-                for q in kept:
+                for q in ks:
                     appends[q](pair)
         rec.sent, rec.bits, rec.omitted = sent, bits, omitted
-
-    # general path: per-message pending list, two observation hooks
-    def _deliver_general(self, outbox, inbox, gens, rec, t):
-        strategy = self.adversary
-        pending = []
-        for sender, receivers, payload, b in outbox:
-            for q in receivers:
-                pending.append(Message(sender, q, payload, b))
-        rec.sent = len(pending)
-        rec.bits = sum(m.bits for m in pending)
-        delivered, omitted_all = pending, []
-        for phase in ("send", "deliver"):
-            action = strategy.decide(adversary_view(self, phase, delivered))
-            delivered, omitted, _ = apply_adversary_action(action, delivered,
-                                                           self.trace.corrupted, t)
-            self._absorb_corruptions(action.corrupt, rec)
-            omitted_all.extend(omitted)
-        for m in delivered:
-            if gens[m.receiver] is not None:
-                inbox[m.receiver].append((m.sender, m.payload))
-        rec.omitted = len(omitted_all)
-        if self.record_level >= 1:
-            rec.messages = pending
-            rec.omitted_messages = omitted_all
 
     def _absorb_corruptions(self, corrupt, rec):
         corrupted = self.trace.corrupted

@@ -10,6 +10,7 @@ import csv
 import inspect
 import io
 import json
+import sys
 from dataclasses import asdict
 
 from .adversaries import CoinBiaser, CrashAsOmission, Eclipse
@@ -28,8 +29,9 @@ def is_int(v):
 
 
 def checked_constant(key, value, default):
-    """value as a constant of default's type: an integer, a number (for a
-    float default) or a [numerator, denominator > 0] integer pair."""
+    """value as a constant of default's type: a finite number > 0 (for a
+    float default), an integer >= 1, or a [numerator, denominator > 0]
+    integer pair."""
     if isinstance(default, tuple):
         if (isinstance(value, (list, tuple)) and len(value) == 2
                 and all(map(is_int, value)) and value[1] > 0):
@@ -37,12 +39,12 @@ def checked_constant(key, value, default):
         raise ConfigError("constant %s must be a [numerator, denominator] integer "
                           "pair with a positive denominator, got %r" % (key, value))
     if isinstance(default, float):
-        if is_int(value) or isinstance(value, float):
+        if (is_int(value) or isinstance(value, float)) and 0 < value <= sys.float_info.max:
             return value
-        raise ConfigError("constant %s must be a number, got %r" % (key, value))
-    if is_int(value):
+        raise ConfigError("constant %s must be a finite number > 0, got %r" % (key, value))
+    if is_int(value) and value >= 1:
         return value
-    raise ConfigError("constant %s must be an integer, got %r" % (key, value))
+    raise ConfigError("constant %s must be an integer >= 1, got %r" % (key, value))
 
 
 def build_constants(overrides=None, preset="default"):

@@ -35,15 +35,9 @@ class Metrics:
         trace = eng.trace
         rounds = trace.rounds
         ops = [r.operative for r in rounds]
-        boundaries = eng.protocol_meta.get("epoch_boundaries", ())
-        per_epoch = []
-        for i, r in enumerate(boundaries):
-            if 1 <= r <= len(rounds):
-                per_epoch.append({
-                    "epoch": i + 1,
-                    "end_round": r,
-                    "operative": ops[r - 1],
-                })
+        per_epoch = [{"epoch": i, "end_round": r, "operative": ops[r - 1]}
+                     for i, r in enumerate(eng.protocol.epoch_boundaries, start=1)
+                     if 1 <= r <= len(rounds)]
         draws = sum(r.rand_accesses for r in rounds)
         return cls(
             T=eng.round,

@@ -39,7 +39,6 @@ class TradeoffConsensus:
             raise ConfigError("x must be in [1, n]")
         self.config = config
         self.constants = constants
-        self.x = x
         self.supers = split_super_processes(n, x)
 
         # each inner run is a main-protocol instance on its super-process,
@@ -56,30 +55,11 @@ class TradeoffConsensus:
 
         self.phase_budgets = [r + self.flooding_rounds for r in self.inner_rounds]
         self.closed_form_T = sum(self.phase_budgets) + 3
-
-    def meta(self):
-        boundaries = []
-        offset = 0
-        phase_starts = []
+        boundaries, offset = [], 0
         for inst, budget in zip(self.inner, self.phase_budgets):
-            phase_starts.append(offset + 1)
-            boundaries.extend(offset + e * inst.epoch_rounds
-                              for e in range(1, inst.epochs + 1))
+            boundaries += (offset + e * inst.epoch_rounds for e in range(1, inst.epochs + 1))
             offset += budget
-        return {
-            "protocol": self.name,
-            "x": self.x,
-            "super_sizes": [len(b) for b in self.supers],
-            "phase_budgets": list(self.phase_budgets),
-            "phase_starts": phase_starts,
-            "flooding_rounds": self.flooding_rounds,
-            "delta": self.delta,
-            "epoch_boundaries": boundaries,
-            "closed_form_T": self.closed_form_T,
-        }
-
-    def max_rounds(self):
-        return self.closed_form_T + self.config.t + 8
+        self.epoch_boundaries = tuple(boundaries)
 
     def run(self, ctx):
         st = ctx.state

@@ -159,3 +159,4 @@ def test_fast_and_general_crash_paths_agree():
     assert a[0] == b[0]
     assert a[2].comm_bits == b[2].comm_bits
     assert a[2].omitted_msgs == b[2].omitted_msgs
+    assert [repr(r) for r in a[1].rounds] == [repr(r) for r in b[1].rounds]

@@ -111,10 +111,10 @@ def test_meta_and_metrics_shapes():
     dec, trace, m = run_main(30, 0, (1,) * 30, seed=1)
     proto = MainConsensus(SystemConfig(n=30, t=0, seed=1,
                                        inputs=(1,) * 30, params=scaled()))
-    meta = proto.meta()
-    assert meta["epochs"] >= 1
-    assert meta["epoch_boundaries"][-1] == meta["epochs"] * meta["epoch_rounds"]
-    assert len(m.per_epoch) == meta["epochs"]
+    inst = proto.inst
+    assert inst.epochs >= 1
+    assert proto.epoch_boundaries[-1] == inst.epochs * inst.epoch_rounds
+    assert len(m.per_epoch) == inst.epochs
     assert m.revalidate(trace)
 
 

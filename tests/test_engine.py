@@ -1,7 +1,7 @@
 import pytest
 
 from omsim.engine import (
-    SystemConfig, Message, AdversaryStrategy, AdversaryAction,
+    Engine, SystemConfig, Message, AdversaryStrategy, AdversaryAction,
     apply_adversary_action, run_execution,
     ConfigError, AdversaryViolation, LivenessFailure,
     count_bits, group_index_bits, chain_bits, log2_ceil, isqrt_ceil,
@@ -14,16 +14,11 @@ class Echo:
     """Toy protocol: broadcast the input bit, decide the minimum bit seen.
     One communication round, decisions in round 2."""
 
-    rounds = 2
+    closed_form_T = 2
+    epoch_boundaries = ()
 
     def __init__(self, config):
         self.config = config
-
-    def meta(self):
-        return {}
-
-    def max_rounds(self):
-        return 5
 
     def run(self, ctx):
         n = ctx.n
@@ -155,6 +150,34 @@ def test_general_hook_path_silences_sender():
     assert trace.verify(cfg.t)
 
 
+class CorruptSilenceOne(AdversaryStrategy):
+    """Batch-interface strategy: corrupts and silences process 1."""
+
+    def corruptions(self, obs):
+        return (1,)
+
+    def silenced(self):
+        return frozenset({1})
+
+
+class CorruptSilenceOneDecidingNothing(CorruptSilenceOne):
+    """The same, with a decide() override that adds nothing."""
+
+    def decide(self, obs):
+        return AdversaryAction()
+
+
+def test_decide_strategy_keeps_its_silenced_set():
+    # the decide() hooks come on top of the batch hooks, not in their place
+    cfg = SystemConfig(n=4, t=1, seed=5, inputs=(0, 1, 1, 1))
+    batch, general = (run_execution(cfg, Echo, adv, record_level=1)
+                      for adv in (CorruptSilenceOne(), CorruptSilenceOneDecidingNothing()))
+    assert [repr(r) for r in general[1].rounds] == [repr(r) for r in batch[1].rounds]
+    assert general[0] == batch[0]
+    assert general[2].omitted_msgs == 6
+    assert general[0][2][0] == general[0][3][0] == general[0][4][0] == 1
+
+
 def test_hook_strategy_budget_enforced():
     class Greedy(OmitAllFromOne):
         def decide(self, obs):
@@ -221,6 +244,22 @@ def test_liveness_failure_on_undecided():
     cfg = SystemConfig(n=3, t=0, seed=5, inputs=(0, 0, 0))
     with pytest.raises(LivenessFailure):
         run_execution(cfg, Stuck)
+
+
+def test_round_budget_is_closed_form_plus_t_plus_8():
+    class Endless(Echo):
+        closed_form_T = 3
+
+        def run(self, ctx):
+            while True:
+                yield
+
+    cfg = SystemConfig(n=3, t=1, seed=5, inputs=(0, 0, 0))
+    eng = Engine(cfg, Endless(cfg), None)
+    with pytest.raises(LivenessFailure, match="round budget 12 exceeded"):
+        eng.run()
+    assert eng.round == 3 + 1 + 8 + 1
+    assert len(eng.trace.rounds) == 12
 
 
 def test_metrics_revalidate_and_trace_verify():

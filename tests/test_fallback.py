@@ -10,14 +10,11 @@ from omsim.fallback import ChainFlooder, reference_run, rounds_needed, run_fallb
 class FallbackOnly:
     """Driver: run the chain flooding directly on the raw inputs."""
 
+    epoch_boundaries = ()
+
     def __init__(self, config):
         self.config = config
-
-    def meta(self):
-        return {}
-
-    def max_rounds(self):
-        return self.config.t + 4
+        self.closed_form_T = rounds_needed(config.t)
 
     def run(self, ctx):
         targets = [q for q in range(1, ctx.n + 1) if q != ctx.pid]

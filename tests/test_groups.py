@@ -14,14 +14,11 @@ from omsim.params import scaled
 class OneEpoch:
     """Driver: aggregate once, spread once, decide the final pair."""
 
+    epoch_boundaries = ()
+
     def __init__(self, inst):
         self.inst = inst
-
-    def meta(self):
-        return {}
-
-    def max_rounds(self):
-        return self.inst.epoch_rounds + 3
+        self.closed_form_T = inst.epoch_rounds
 
     def run(self, ctx):
         st = ctx.state

@@ -236,7 +236,13 @@ def test_run_sweep_unknown_cell_key_is_that_cells_error():
     assert records[1]["cell"] == 1 and "error" not in records[1]
 
 
-@pytest.mark.parametrize("overrides", [[1], {"delta_coeff": "x"}, {"coin_coeff": 8.0}])
+@pytest.mark.parametrize("overrides", [
+    [1], {"delta_coeff": "x"}, {"coin_coeff": 8.0},
+    {"lower_bound_const": 0}, {"epoch_coeff": float("nan")}, {"epoch_coeff": float("inf")},
+    {"main_fault_bound": 0}, {"flooding_coeff": 1e400}, {"inoperative_divisor": 0},
+    {"epoch_coeff": -1}, {"spreading_coeff": 0}, {"delta_coeff": -3},
+    {"tradeoff_fault_bound": 0}, {"epoch_coeff": 10 ** 400},
+])
 def test_bad_constant_values_are_config_errors(tmp_path, overrides):
     with pytest.raises(ConfigError):
         build_constants(overrides, "scaled")

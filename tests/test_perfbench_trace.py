@@ -12,6 +12,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 import tracing  # noqa: E402
 
 from omsim import harness  # noqa: E402
+from omsim.engine import SystemConfig, run_execution  # noqa: E402
+
+from test_engine import Echo, OmitAllFromOne  # noqa: E402
 
 PLAN = {"cells": [
     {"n": 64, "t": 2, "protocol": "main", "adversary": "crash",
@@ -35,3 +38,17 @@ def test_traced_records_equal_untraced_and_tallies_match():
     assert sum(tracer.msgs.values()) == sum(r["metrics"]["sent_msgs"] for r in records)
     assert sum(tracer.bits.values()) == sum(r["metrics"]["comm_bits"] for r in records)
     assert tracer.calls["engine.run"] == 2
+
+
+def test_general_path_round_is_tallied_once():
+    # the tracer tallies the outbox at each delivery method; a round counted
+    # by both would read twice its messages
+    cfg = SystemConfig(n=4, t=1, seed=5, inputs=(0, 1, 1, 1))
+    tracer = tracing.Tracer()
+    originals = tracing.install(tracer)
+    try:
+        _, _, m = run_execution(cfg, Echo, OmitAllFromOne())
+    finally:
+        tracing.uninstall(originals)
+    assert m.sent_msgs == 12
+    assert sum(tracer.msgs.values()) == m.sent_msgs

@@ -46,9 +46,8 @@ def test_closed_form_round_count():
     proto = TradeoffConsensus(cfg, x=4)
     dec, _, m = run_execution(cfg, proto)
     assert m.T == proto.closed_form_T
-    meta = proto.meta()
-    assert sum(meta["phase_budgets"]) + 3 == meta["closed_form_T"]
-    assert meta["super_sizes"] == [16, 16, 16, 16]
+    assert sum(proto.phase_budgets) + 3 == proto.closed_form_T
+    assert [len(b) for b in proto.supers] == [16, 16, 16, 16]
 
 
 def test_mixed_inputs_agree_across_seeds_and_x():
@@ -115,10 +114,10 @@ def test_randomness_confined_to_inner_runs():
                        params=scaled())
     proto = TradeoffConsensus(cfg, x=4)
     dec, trace, m = run_execution(cfg, proto)
-    meta = proto.meta()
     inner_windows = []
-    for start, budget, inner in zip(meta["phase_starts"], meta["phase_budgets"],
-                                    proto.inner):
-        inner_windows.append((start, start + budget - meta["flooding_rounds"]))
+    start = 1
+    for budget in proto.phase_budgets:
+        inner_windows.append((start, start + budget - proto.flooding_rounds))
+        start += budget
     for rnd in (r.index for r in trace.rounds if r.rand_accesses):
         assert any(lo <= rnd <= hi for lo, hi in inner_windows), rnd
