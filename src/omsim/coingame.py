@@ -44,24 +44,25 @@ class CoinGame:
 
     def outcomes(self):
         """Iterate (y, probability) over the full product space."""
-        doms = [self.domain(i) for i in range(self.k)]
+        doms = [[(v, *Fraction(p).as_integer_ratio()) for v, p in self.domain(i)]
+                for i in range(self.k)]
         for combo in itertools.product(*doms):
-            y = tuple(v for v, _ in combo)
-            pr = math.prod((Fraction(p) for _, p in combo), start=Fraction(1))
-            yield y, pr
+            num = den = 1
+            for _, a, b in combo:
+                num *= a
+                den *= b
+            yield tuple(v for v, _, _ in combo), Fraction(num, den)
 
 
 # --- built-in outcome functions ------------------------------------------
 
 def majority_ties_zero(values):
-    ones = sum(1 for v in values if v == 1)
-    zeros = sum(1 for v in values if v == 0)
-    return 1 if ones > zeros else 0
+    return 1 if values.count(1) > values.count(0) else 0
 
 
 def parity(values):
     """Parity of the visible ones; hidden entries drop out."""
-    return sum(1 for v in values if v == 1) % 2
+    return values.count(1) % 2
 
 
 BUILTIN_F = {
@@ -81,16 +82,23 @@ def min_hiding(game, y, v, cap=None, budget=20):
 
     Enumerates subsets by increasing size, lexicographic within a size;
     returns (size, witness) or (UNBIASABLE, None). `cap` bounds the subset
-    size searched (UNBIASABLE then means "not within cap")."""
+    size searched (UNBIASABLE then means "not within cap"). f sees
+    `hide(y, H)` for each subset H in that order, hidden in place in one
+    reused list."""
     k = game.k
     if k > budget:
         raise BudgetExceeded("k=%d exceeds enumeration budget %d" % (k, budget))
     top = k if cap is None else min(cap, k)
-    idx = range(k)
+    f = game.f
+    z = list(y)
     for size in range(0, top + 1):
-        for H in itertools.combinations(idx, size):
-            if game.f(hide(y, set(H))) == v:
+        for H in itertools.combinations(range(k), size):
+            for i in H:
+                z[i] = None
+            if f(tuple(z)) == v:
                 return size, H
+            for i in H:
+                z[i] = y[i]
     return UNBIASABLE, None
 
 

@@ -17,6 +17,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +47,8 @@ class GraphConfig:
 
 class OverlayGraph:
     """Simple undirected graph on vertices 1..n with per-vertex sorted
-    neighbor tuples plus sets for O(1) membership."""
+    neighbor tuples plus sets for O(1) membership.  The dense adjacency
+    matrix the growth certifiers use is built on first use only."""
 
     def __init__(self, n, edges):
         self.n = n
@@ -80,6 +82,20 @@ class OverlayGraph:
     def degree_range(self):
         degs = [self.degree(p) for p in range(1, self.n + 1)]
         return min(degs), max(degs)
+
+    @cached_property
+    def matrix(self):
+        """Boolean adjacency matrix on rows and columns 0..n (0 unused)."""
+        m = np.zeros((self.n + 1, self.n + 1), dtype=bool)
+        for p, nbrs in enumerate(self.adj):
+            m[p, list(nbrs)] = True
+        return m
+
+    def mask(self, vertices):
+        """Boolean vector over 0..n marking the given vertices."""
+        m = np.zeros(self.n + 1, dtype=bool)
+        m[list(vertices)] = True
+        return m
 
 
 def generate(config):
@@ -220,46 +236,53 @@ def check_edge_sparsity(graph, ell, alpha, mode="exact", trials=10000,
 
 def peel(graph, S, constrained, delta, keep=None):
     """Remove from S, until none is left, each member of `constrained` with
-    fewer than delta neighbors in S.  Returns what is left of S, or None as
-    soon as `keep` is removed."""
-    deg = {u: sum(1 for q in graph.adj[u] if q in S) for u in constrained}
-    queue = [u for u in constrained if deg[u] < delta]
-    while queue:
-        u = queue.pop()
-        if u not in S:
-            continue
-        S.discard(u)
-        if u == keep:
+    fewer than delta neighbors in S.  S and constrained are vertex masks
+    (`OverlayGraph.mask`); S is changed in place and returned, or None if
+    `keep` is removed.
+
+    Each sweep drops every under-degree constrained member at once.  What is
+    left is the unique maximal subset of S in which every constrained member
+    keeps delta neighbors, as with one-at-a-time peeling, and `keep` is
+    removed exactly when it lies outside that set."""
+    m = graph.matrix
+    while True:
+        live = np.flatnonzero(constrained & S)
+        low = live[np.count_nonzero(m[live] & S, axis=1) < delta]
+        if not low.size:
+            return S
+        if keep is not None and keep in low:
             return None
-        for q in graph.adj[u]:
-            if q in S and q in constrained:
-                deg[q] -= 1
-                if deg[q] < delta:
-                    queue.append(q)
-    return S
+        S[low] = False
+
+
+def members(mask):
+    """The vertices a mask marks, as a set."""
+    return set(np.flatnonzero(mask).tolist())
 
 
 def extract_survival_set(graph, B, delta):
     """The delta-core of the induced subgraph on B: the unique maximal
-    subset in which every vertex keeps >= delta neighbors inside.  Standard
-    iterative peeling; returns an empty set if nothing survives."""
-    B = set(B)
-    return peel(graph, B, B, delta)
+    subset in which every vertex keeps >= delta neighbors inside.  Returns
+    an empty set if nothing survives."""
+    B = graph.mask(B)
+    return members(peel(graph, B, B, delta))
+
+
+def balls(graph, v, gamma):
+    """Masks of the balls of radius gamma - 1 (None for gamma = 0) and
+    gamma around v, grown together by unions of adjacency rows."""
+    inner, ball = None, graph.mask((v,))
+    frontier = ball
+    for _ in range(gamma):
+        inner = ball
+        frontier = graph.matrix[frontier].any(axis=0) & ~ball
+        ball = ball | frontier
+    return inner, ball
 
 
 def neighborhood(graph, v, gamma):
     """Ball of radius gamma around v, inclusive of v."""
-    seen = {v}
-    frontier = [v]
-    for _ in range(gamma):
-        nxt = []
-        for u in frontier:
-            for q in graph.adj[u]:
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return seen
+    return members(balls(graph, v, gamma)[1])
 
 
 def check_dense_neighborhood_growth(graph, v, gamma, delta):
@@ -270,9 +293,9 @@ def check_dense_neighborhood_growth(graph, v, gamma, delta):
     if gamma <= 0:
         # the ball is {v} and no vertex is degree-constrained
         return 1
-    S = peel(graph, neighborhood(graph, v, gamma), neighborhood(graph, v, gamma - 1),
-             delta, keep=v)
-    return 0 if S is None else len(S)
+    inner, ball = balls(graph, v, gamma)
+    S = peel(graph, ball, inner, delta, keep=v)
+    return 0 if S is None else int(np.count_nonzero(S))
 
 
 @dataclass

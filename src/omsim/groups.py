@@ -27,17 +27,31 @@ non-disregarded neighbors, disregards the silent ones and applies the
 inoperative threshold.
 """
 
+import math
 from bisect import bisect_left
 from itertools import filterfalse
 from operator import itemgetter
 
-from .engine import count_bits, group_index_bits, isqrt_ceil, log2_ceil
+from .engine import ConfigError, count_bits, group_index_bits, isqrt_ceil, log2_ceil
 from .graphs import GraphConfig, generate
 
 
 RK = ("rk",)               # the one relay confirmation payload
 _payload = itemgetter(1)   # (sender, payload) -> payload
 _index = itemgetter(0)     # gossip entry (i, ones, zeros) -> i
+
+# no schedule may be longer: a coefficient that asks for more rounds is a
+# configuration error, not a run that never ends
+MAX_ROUNDS = 10 ** 6
+
+
+def ceil_rounds(x):
+    """max(1, ceil(x)) for a schedule part of x rounds; a ConfigError when
+    x passes MAX_ROUNDS or is not a number."""
+    if not x <= MAX_ROUNDS:
+        raise ConfigError("a schedule of %.3g rounds passes the ceiling of %d rounds"
+                          % (x, MAX_ROUNDS))
+    return max(1, math.ceil(x))
 
 
 def split_blocks(members, m):
@@ -136,10 +150,12 @@ class Instance:
         L = log2_ceil(self.k)
         self.delta, self.neighbors = overlay(self.members, constants, seed, graph_tag)
 
-        self.spreading_rounds = max(1, int(-(-constants.spreading_coeff * L // 1)))
+        self.spreading_rounds = ceil_rounds(constants.spreading_coeff * L)
         self.epoch_rounds = 3 * self.stages + self.spreading_rounds
         raw = constants.epoch_coeff * t * L / (self.k ** 0.5) if self.k else 0
-        self.epochs = max(1, int(-(-raw // 1)))
+        # an epoch takes at least one round, so its count meets the ceiling too
+        self.epochs = ceil_rounds(raw)
+        ceil_rounds(self.epochs * self.epoch_rounds)
 
         # encoded field widths
         self.cb = count_bits(self.k)

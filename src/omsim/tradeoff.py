@@ -18,7 +18,7 @@ from collections import Counter
 
 from .engine import ConfigError, ProtoState, log2_ceil
 from .consensus import checked_constants, closing, decide_candidate, disseminate, main_core
-from .groups import Instance, delivery_rule, overlay, split_blocks
+from .groups import Instance, ceil_rounds, delivery_rule, overlay, split_blocks
 # unused here, but perfbench/tracing.py patches both names in this module
 from .fallback import run_fallback  # noqa: F401
 from .graphs import generate  # noqa: F401
@@ -50,11 +50,11 @@ class TradeoffConsensus:
                                        graph_tag=i))
         self.inner_rounds = [inst.epochs * inst.epoch_rounds + 1 for inst in self.inner]
 
-        self.flooding_rounds = max(1, int(-(-constants.flooding_coeff * log2_ceil(n) // 1)))
+        self.flooding_rounds = ceil_rounds(constants.flooding_coeff * log2_ceil(n))
         self.delta, self.neighbors = overlay(tuple(range(1, n + 1)), constants, config.seed)
 
         self.phase_budgets = [r + self.flooding_rounds for r in self.inner_rounds]
-        self.closed_form_T = sum(self.phase_budgets) + 3
+        self.closed_form_T = ceil_rounds(sum(self.phase_budgets) + 3)
         boundaries, offset = [], 0
         for inst, budget in zip(self.inner, self.phase_budgets):
             boundaries += (offset + e * inst.epoch_rounds for e in range(1, inst.epochs + 1))

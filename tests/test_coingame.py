@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -135,6 +136,53 @@ def test_anti_concentration_precondition():
     for n in (0, -5):   # no bits to sum: no estimate, and no sqrt(n)
         with pytest.raises(ConfigError):
             anti_concentration_check(n, 0)
+
+
+THIRDS = ((0, Fraction(1, 2)), (1, Fraction(1, 3)), (2, Fraction(1, 6)))
+QUARTERS = ((0, 0.25), (1, 0.75))
+
+
+def direct_outcomes(domains):
+    for combo in itertools.product(*domains):
+        yield (tuple(v for v, _ in combo),
+               math.prod((Fraction(p) for _, p in combo), start=Fraction(1)))
+
+
+@pytest.mark.parametrize("domains", [(THIRDS,) * 3, (QUARTERS,) * 4,
+                                     (THIRDS, QUARTERS, THIRDS, QUARTERS)])
+def test_outcomes_are_exact_on_non_uniform_domains(domains):
+    g = CoinGame(k=len(domains), f=parity, domains=domains)
+    outs = list(g.outcomes())
+    assert outs == list(direct_outcomes(domains))
+    assert sum(pr for _, pr in outs) == 1
+    assert all(type(pr) is Fraction for _, pr in outs)
+
+
+def test_bias_probability_zero_budget_is_direct_fraction_sum():
+    domains = (THIRDS, QUARTERS, THIRDS, QUARTERS, THIRDS)
+    for f in (majority_ties_zero, parity):
+        g = CoinGame(k=5, f=f, domains=domains)
+        for v in (0, 1):
+            want = sum((pr for y, pr in direct_outcomes(domains) if f(y) == v), Fraction(0))
+            assert bias_probability(g, v, 0) == want
+
+
+def test_oracle_calls_f_as_enumerating_with_hide_does():
+    for f in (majority_ties_zero, parity):
+        for v in (0, 1):
+            for B in (0, 2, 6):
+                calls = []
+                g = CoinGame(k=6, f=lambda vals: calls.append(vals) or f(vals))
+                bias_probability(g, v, B)
+                want = []
+                for y in itertools.product((0, 1), repeat=6):
+                    for H in itertools.chain.from_iterable(
+                            itertools.combinations(range(6), s) for s in range(B + 1)):
+                        want.append(hide(y, set(H)))
+                        if f(want[-1]) == v:
+                            break
+                assert calls == want
+                assert all(type(c) is tuple for c in calls)
 
 
 def test_normalization_checked():

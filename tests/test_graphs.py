@@ -7,7 +7,8 @@ from omsim.engine import BudgetExceeded, ConfigError
 from omsim.graphs import (
     GraphConfig, OverlayGraph, generate, certify,
     check_expansion, check_edge_sparsity, internal_edges,
-    extract_survival_set, check_dense_neighborhood_growth, neighborhood,
+    extract_survival_set, check_dense_neighborhood_growth, members,
+    neighborhood, peel,
 )
 
 
@@ -217,6 +218,89 @@ def test_neighborhood_radius():
     g = path(7)
     assert neighborhood(g, 4, 0) == {4}
     assert neighborhood(g, 4, 2) == {2, 3, 4, 5, 6}
+
+
+# --- the dense kernels against one-at-a-time peeling ----------------------
+
+def reference_peel(graph, S, constrained, delta, keep=None):
+    """Sequential queue-based peeling on vertex sets: remove one
+    under-degree constrained member of S at a time; None once `keep` goes."""
+    deg = {u: sum(1 for q in graph.adj[u] if q in S) for u in constrained}
+    queue = [u for u in constrained if deg[u] < delta]
+    while queue:
+        u = queue.pop()
+        if u not in S:
+            continue
+        S.discard(u)
+        if u == keep:
+            return None
+        for q in graph.adj[u]:
+            if q in S and q in constrained:
+                deg[q] -= 1
+                if deg[q] < delta:
+                    queue.append(q)
+    return S
+
+
+def reference_ball(graph, v, gamma):
+    seen, frontier = {v}, [v]
+    for _ in range(gamma):
+        frontier = [q for u in frontier for q in graph.adj[u] if q not in seen]
+        seen.update(frontier)
+    return seen
+
+
+def reference_growth(graph, v, gamma, delta):
+    if gamma <= 0:
+        return 1
+    S = reference_peel(graph, reference_ball(graph, v, gamma),
+                       reference_ball(graph, v, gamma - 1), delta, keep=v)
+    return 0 if S is None else len(S)
+
+
+def test_peel_kernel_matches_sequential_peel():
+    rng = random.Random(12)
+    seen = {"proper": 0, "whole": 0, "keep in core": 0, "keep peeled": 0}
+    for _ in range(400):
+        n = rng.randint(2, 40)
+        g = random_graph(n, rng.choice([0.1, 0.2, 0.35, 0.5]), rng)
+        S = set(rng.sample(range(1, n + 1), rng.randint(1, n)))
+        delta = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            C = S
+            seen["whole"] += 1
+            assert extract_survival_set(g, S, delta) == reference_peel(g, set(S), set(S), delta)
+        else:
+            C = set(rng.sample(sorted(S), rng.randint(0, len(S) - 1)))
+            seen["proper"] += 1
+        core = reference_peel(g, set(S), C, delta)
+        assert members(peel(g, g.mask(S), g.mask(C), delta)) == core
+        for keep, kind in ((min(core, default=None), "keep in core"),
+                           (min(S - core, default=None), "keep peeled")):
+            if keep is None:
+                continue
+            seen[kind] += 1
+            want = reference_peel(g, set(S), C, delta, keep=keep)
+            got = peel(g, g.mask(S), g.mask(C), delta, keep=keep)
+            assert (None if got is None else members(got)) == want
+    assert min(seen.values()) >= 100, seen
+
+
+def test_ball_and_growth_kernels_match_reference():
+    rng = random.Random(13)
+    sizes = set()
+    for _ in range(150):
+        n = rng.randint(2, 40)
+        g = random_graph(n, rng.choice([0.05, 0.1, 0.2, 0.35]), rng)
+        v = rng.randint(1, n)
+        delta = rng.randint(1, 5)
+        for gamma in range(5):
+            assert neighborhood(g, v, gamma) == reference_ball(g, v, gamma)
+            size = check_dense_neighborhood_growth(g, v, gamma, delta)
+            assert size == reference_growth(g, v, gamma, delta), (n, v, gamma, delta)
+            sizes.add("zero" if size == 0 else
+                      "whole ball" if size == len(reference_ball(g, v, gamma)) else "part")
+    assert sizes == {"zero", "whole ball", "part"}
 
 
 # --- certification bundle ------------------------------------------------

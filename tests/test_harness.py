@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -236,18 +237,33 @@ def test_run_sweep_unknown_cell_key_is_that_cells_error():
     assert records[1]["cell"] == 1 and "error" not in records[1]
 
 
+# each value is in its range, but the schedule built from it passes the
+# round ceiling; only the trade-off reads flooding_coeff
+PAST_ROUND_CEILING = ({"epoch_coeff": 1e300}, {"spreading_coeff": 1e300},
+                      {"epoch_coeff": sys.float_info.max}, {"flooding_coeff": 1e300})
+MAIN_128 = ["run", "-n", "128", "-t", "1", "--preset", "acceptance"]
+
+
 @pytest.mark.parametrize("overrides", [
     [1], {"delta_coeff": "x"}, {"coin_coeff": 8.0},
     {"lower_bound_const": 0}, {"epoch_coeff": float("nan")}, {"epoch_coeff": float("inf")},
     {"main_fault_bound": 0}, {"flooding_coeff": 1e400}, {"inoperative_divisor": 0},
     {"epoch_coeff": -1}, {"spreading_coeff": 0}, {"delta_coeff": -3},
-    {"tradeoff_fault_bound": 0}, {"epoch_coeff": 10 ** 400},
+    {"tradeoff_fault_bound": 0}, {"epoch_coeff": 10 ** 400}, *PAST_ROUND_CEILING,
 ])
 def test_bad_constant_values_are_config_errors(tmp_path, overrides):
-    with pytest.raises(ConfigError):
-        build_constants(overrides, "scaled")
     conf = tmp_path / "c.json"
     conf.write_text(json.dumps(overrides))
+    if overrides in PAST_ROUND_CEILING:
+        build_constants(overrides, "acceptance")
+        run = MAIN_128 + (["--protocol", "tradeoff", "--x", "4"]
+                          if "flooding_coeff" in overrides else [])
+        res = CliRunner().invoke(cli_main, run + ["--config", str(conf)])
+        assert_config_exit(res)
+        assert "passes the ceiling of 1000000 rounds" in res.stderr
+        return
+    with pytest.raises(ConfigError):
+        build_constants(overrides, "scaled")
     assert_config_exit(CliRunner().invoke(cli_main, ["run", "-n", "31", "-t", "1",
                                                      "--config", str(conf)]))
 
