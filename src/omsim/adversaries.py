@@ -1,9 +1,9 @@
 """Adversary strategies for experiments and stress tests.
 
-All of these use the engine's batch interface (standing silenced sets and
-per-batch send filters); legality is still enforced by the engine on every
-action. Each strategy is deterministic given its observation stream, so a
-rerun with the same seed reproduces the trace bit for bit.
+All of these use the engine's batch interface (silenced sets and per-link
+send filters); legality is still enforced by the engine on every action.
+Each strategy is deterministic given its observation stream, so a rerun
+with the same seed reproduces the trace bit for bit.
 """
 
 from .engine import AdversaryStrategy, ConfigError
@@ -28,7 +28,6 @@ class CrashAsOmission(AdversaryStrategy):
     def __init__(self, schedule):
         # schedule: round -> iterable of pids
         self.schedule = {r: frozenset(ps) for r, ps in schedule.items() if ps}
-        self.crashed = set()
         self._round = 0
 
     def start(self, config, protocol):
@@ -39,18 +38,14 @@ class CrashAsOmission(AdversaryStrategy):
         if len(total) > config.t:
             raise ScheduleExceedsBudget(
                 "schedule crashes %d > t=%d processes" % (len(total), config.t))
-        self.crashed = set()
         self._round = 0
 
     def corruptions(self, obs):
         self._round += 1  # called exactly once per round
-        due = self.schedule.get(self._round)
-        if due:
-            self.crashed |= due
-        return frozenset(due) if due else ()
+        return self.schedule.get(self._round, ())
 
-    def silenced(self):
-        return frozenset(self.crashed)
+    def silenced(self, corrupted):
+        return frozenset(corrupted)
 
 
 def load_schedule(text):
@@ -67,10 +62,11 @@ def load_schedule(text):
 
 class Eclipse(AdversaryStrategy):
     """Corrupts a fixed target set in round 1 and thins their outgoing
-    traffic asymmetrically: each round a target delivers only to a rotating
-    1 - 1/rotation slice of its receivers (rotation=1 silences outgoing
-    entirely), while its incoming traffic flows untouched. This confuses
-    operative detection more than a clean crash does."""
+    traffic asymmetrically: in round r a target's message to receiver q is
+    dropped iff (q + r) % rotation == 0, so each round it reaches a
+    rotating 1 - 1/rotation slice of the processes (rotation=1 silences
+    outgoing entirely), while its incoming traffic flows untouched. This
+    confuses operative detection more than a clean crash does."""
 
     name = "eclipse"
 
@@ -94,9 +90,8 @@ class Eclipse(AdversaryStrategy):
         self._fired = True
         return self.targets
 
-    def send_filter(self, rnd, sender, receivers):
-        return tuple(q for i, q in enumerate(receivers)
-                     if (i + rnd) % self.rotation != 0)
+    def send_filter(self, rnd, sender, receiver):
+        return (receiver + rnd) % self.rotation != 0
 
 
 class CoinBiaser(AdversaryStrategy):
@@ -116,10 +111,6 @@ class CoinBiaser(AdversaryStrategy):
         if direction not in (0, 1):
             raise ConfigError("direction must be a bit")
         self.direction = direction
-        self.taken = set()
-
-    def start(self, config, protocol):
-        self.taken = set()
 
     def corruptions(self, obs):
         if not obs.drawn_bits:
@@ -133,9 +124,7 @@ class CoinBiaser(AdversaryStrategy):
         budget = obs.t - len(obs.corrupted)
         remaining = sum(1 for b in obs.epoch_boundaries if b + 1 >= obs.round)
         quota = budget // max(1, remaining)
-        picked = frozenset(candidates[:quota])
-        self.taken |= picked
-        return picked
+        return frozenset(candidates[:quota])
 
-    def silenced(self):
-        return frozenset(self.taken)
+    def silenced(self, corrupted):
+        return frozenset(corrupted)

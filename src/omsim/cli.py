@@ -62,7 +62,7 @@ def main():
 @click.option("-n", "n", type=int, required=True, help="process count")
 @click.option("-t", "t", type=int, default=0, help="fault budget")
 @click.option("--seed", type=int, default=0)
-@click.option("--protocol", type=click.Choice(["main", "tradeoff"]), default="main")
+@click.option("--protocol", type=click.Choice(list(harness.PROTOCOLS)), default="main")
 @click.option("--x", type=int, default=1, help="super-process count (tradeoff)")
 @click.option("--adversary", type=click.Choice(list(harness.ADVERSARY_OPTIONS)),
               default="none")
@@ -75,7 +75,7 @@ def main():
               help="ones | zeros | alternating | explicit bit string")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="JSON file overriding named constants")
-@click.option("--preset", type=click.Choice(["default", "scaled", "acceptance"]),
+@click.option("--preset", type=click.Choice(list(harness.PRESETS)),
               default="scaled")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["jsonl", "csv"]), default="jsonl")

@@ -128,9 +128,8 @@ class MainConsensus:
         constants = checked_constants(config, "main_fault_bound")
         self.config = config
         inst = self.inst = Instance(range(1, config.n + 1), config.t, config.seed, constants)
-        self.closed_form_T = inst.epochs * inst.epoch_rounds + 2
-        self.epoch_boundaries = tuple(e * inst.epoch_rounds
-                                      for e in range(1, inst.epochs + 1))
+        self.closed_form_T = inst.core_rounds + 1
+        self.epoch_boundaries = inst.epoch_ends
 
     def run(self, ctx):
         st = ctx.state

@@ -141,11 +141,14 @@ class AdversaryObservation:
 class AdversaryStrategy:
     """Base strategy: corrupts nothing, omits nothing.
 
-    The hooks compose. Each round the engine takes the corruptions, omits
-    every message to or from a silenced process, and lets the send filter
-    thin a corrupted sender's entries. If the class overrides decide(), its
-    "send" and "deliver" hooks then see each message those kept, and may
-    corrupt and omit more: the only way to drop one message to a corrupted
+    The hooks compose. Each round the engine takes the corruptions, then
+    omits every message to or from a process in `silenced(corrupted)`,
+    which is handed the engine's corrupted set. `send_filter(rnd, sender,
+    receiver)` then keeps or drops each remaining message of a corrupted
+    sender, one link at a time, so how a protocol groups its sends into
+    entries does not matter. If the class overrides decide(), its "send"
+    and "deliver" hooks then see each message those kept, and may corrupt
+    and omit more: the only way to drop one message to a corrupted
     receiver. decide() and send_filter() are called only where the class
     overrides them; every hook's legality is enforced.
     """
@@ -159,11 +162,11 @@ class AdversaryStrategy:
     def corruptions(self, obs):
         return ()
 
-    def silenced(self):
+    def silenced(self, corrupted):
         return frozenset()
 
-    def send_filter(self, rnd, sender, receivers):
-        return receivers
+    def send_filter(self, rnd, sender, receiver):
+        return True
 
     def decide(self, obs):
         return AdversaryAction()
@@ -371,7 +374,7 @@ class Engine:
             rec = RoundRecord(index=rnd)
             obs = adversary_view(self, "send") if strategy.needs_observation else None
             self._absorb_corruptions(strategy.corruptions(obs), rec)
-            sil = strategy.silenced()
+            sil = strategy.silenced(corrupted.keys())
             if sil != silenced:
                 if not sil <= corrupted.keys():
                     raise AdversaryViolation("silenced set contains non-corrupted process")
@@ -425,21 +428,17 @@ class Engine:
 
     def _batch_kept(self, outbox, silenced, send_filter):
         """Each entry's receivers that the batch hooks keep: none of a
-        silenced sender's, what the send filter keeps of a corrupted
-        sender's, and never a silenced receiver."""
+        silenced sender's, those of a corrupted sender's that the send
+        filter keeps link by link, and never a silenced receiver."""
         if not silenced and send_filter is None:
             return map(itemgetter(1), outbox)
         corrupted = self.trace.corrupted
+        rnd = self.round
         out = []
         for sender, receivers, _, _ in outbox:
             kept = () if sender in silenced else receivers
             if kept and send_filter is not None and sender in corrupted:
-                kept = send_filter(self.round, sender, receivers)
-                unique = set(kept)
-                if len(unique) != len(kept) or not unique.issubset(receivers):
-                    raise AdversaryViolation(
-                        "send filter of process %d kept %r of receivers %r"
-                        % (sender, kept, receivers))
+                kept = [q for q in receivers if send_filter(rnd, sender, q)]
             if silenced and not silenced.isdisjoint(kept):
                 kept = [q for q in kept if q not in silenced]
             out.append(kept)

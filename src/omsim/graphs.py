@@ -67,17 +67,11 @@ class OverlayGraph:
     def degree(self, p):
         return len(self.adj[p])
 
-    def edge_count(self):
-        return sum(len(self.adj[p]) for p in range(1, self.n + 1)) // 2
-
     def edges(self):
         for p in range(1, self.n + 1):
             for q in self.adj[p]:
                 if p < q:
                     yield (p, q)
-
-    def has_edge(self, a, b):
-        return b in self.adj_sets[a]
 
     def degree_range(self):
         degs = [self.degree(p) for p in range(1, self.n + 1)]

@@ -155,7 +155,9 @@ class Instance:
         raw = constants.epoch_coeff * t * L / (self.k ** 0.5) if self.k else 0
         # an epoch takes at least one round, so its count meets the ceiling too
         self.epochs = ceil_rounds(raw)
-        ceil_rounds(self.epochs * self.epoch_rounds)
+        # the epoch loop plus the dissemination round, and the loop's epoch ends
+        self.core_rounds = ceil_rounds(self.epochs * self.epoch_rounds) + 1
+        self.epoch_ends = tuple(e * self.epoch_rounds for e in range(1, self.epochs + 1))
 
         # encoded field widths
         self.cb = count_bits(self.k)

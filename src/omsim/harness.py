@@ -47,15 +47,16 @@ def checked_constant(key, value, default):
     raise ConfigError("constant %s must be an integer >= 1, got %r" % (key, value))
 
 
+# each constants preset and protocol by name; the CLI offers exactly these
+PRESETS = {"default": Constants, "scaled": scaled, "acceptance": acceptance}
+PROTOCOLS = {"main": lambda config, x: MainConsensus(config),
+             "tradeoff": lambda config, x: TradeoffConsensus(config, x=x)}
+
+
 def build_constants(overrides=None, preset="default"):
-    if preset == "default":
-        base = Constants()
-    elif preset == "scaled":
-        base = scaled()
-    elif preset == "acceptance":
-        base = acceptance()
-    else:
+    if not isinstance(preset, str) or preset not in PRESETS:
         raise ConfigError("unknown preset %r" % (preset,))
+    base = PRESETS[preset]()
     if overrides is not None and not isinstance(overrides, dict):
         raise ConfigError("constants must be an object of name: value, got %r"
                           % (overrides,))
@@ -89,11 +90,9 @@ def resolve_inputs(spec, n):
 
 
 def make_protocol(config, protocol="main", x=1):
-    if protocol == "main":
-        return MainConsensus(config)
-    if protocol == "tradeoff":
-        return TradeoffConsensus(config, x=x)
-    raise ConfigError("unknown protocol %r" % protocol)
+    if not isinstance(protocol, str) or protocol not in PROTOCOLS:
+        raise ConfigError("unknown protocol %r" % (protocol,))
+    return PROTOCOLS[protocol](config, x)
 
 
 def checked_pids(pids, what):

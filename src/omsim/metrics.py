@@ -26,10 +26,6 @@ class Metrics:
     fallback_triggered: bool
     per_epoch: list = field(default_factory=list)
 
-    @property
-    def delivered_msgs(self):
-        return self.sent_msgs - self.omitted_msgs
-
     @classmethod
     def from_engine(cls, eng):
         trace = eng.trace

@@ -48,16 +48,15 @@ class TradeoffConsensus:
             t_inner = max(0, min(t, len(block) // constants.main_fault_bound - 1))
             self.inner.append(Instance(block, t_inner, config.seed, constants,
                                        graph_tag=i))
-        self.inner_rounds = [inst.epochs * inst.epoch_rounds + 1 for inst in self.inner]
 
         self.flooding_rounds = ceil_rounds(constants.flooding_coeff * log2_ceil(n))
         self.delta, self.neighbors = overlay(tuple(range(1, n + 1)), constants, config.seed)
 
-        self.phase_budgets = [r + self.flooding_rounds for r in self.inner_rounds]
+        self.phase_budgets = [inst.core_rounds + self.flooding_rounds for inst in self.inner]
         self.closed_form_T = ceil_rounds(sum(self.phase_budgets) + 3)
         boundaries, offset = [], 0
         for inst, budget in zip(self.inner, self.phase_budgets):
-            boundaries += (offset + e * inst.epoch_rounds for e in range(1, inst.epochs + 1))
+            boundaries += (offset + end for end in inst.epoch_ends)
             offset += budget
         self.epoch_boundaries = tuple(boundaries)
 
@@ -68,14 +67,14 @@ class TradeoffConsensus:
         # capped by the actual degree, as in the gossip delivery rule
         threshold = min(self.delta, len(active))
 
-        for inst, inner_rounds in zip(self.inner, self.inner_rounds):
+        for inst in self.inner:
             if st.operative and ctx.pid in inst.member_set:
                 # the inner run's operative flags stay private to it
                 ist = ProtoState(st.b)
                 informed = yield from main_core(inst, ctx, ist, inst.others(ctx.pid))
                 cd = ist.b if (ist.decided or informed) else None
             else:
-                for _ in range(inner_rounds):
+                for _ in range(inst.core_rounds):
                     yield
                 cd = None
 

@@ -160,3 +160,35 @@ def test_fast_and_general_crash_paths_agree():
     assert a[2].comm_bits == b[2].comm_bits
     assert a[2].omitted_msgs == b[2].omitted_msgs
     assert [repr(r) for r in a[1].rounds] == [repr(r) for r in b[1].rounds]
+
+
+class GeneralEclipse(AdversaryStrategy):
+    """Per-message replica of Eclipse on the general hook path: corrupts the
+    targets in round 1 and drops a target's message to q in round r iff
+    (q + r) % rotation == 0."""
+    name = "eclipse-general"
+
+    def __init__(self, targets, rotation):
+        self.targets = frozenset(targets)
+        self.rotation = rotation
+
+    def decide(self, obs):
+        if obs.phase == "deliver":
+            return AdversaryAction()
+        omit = frozenset(i for i, m in enumerate(obs.pending)
+                         if m.sender in self.targets
+                         and (m.receiver + obs.round) % self.rotation == 0)
+        return AdversaryAction(corrupt=self.targets if obs.round == 1 else frozenset(),
+                               omit=omit)
+
+
+@pytest.mark.parametrize("rotation", [2, 3])
+def test_fast_and_general_eclipse_paths_agree(rotation):
+    inputs = tuple(1 if i % 3 else 0 for i in range(32))
+    reference = run_main(32, 1, inputs, seed=8,
+                         adversary=GeneralEclipse({5}, rotation), record_level=1)
+    fast = run_main(32, 1, inputs, seed=8,
+                    adversary=Eclipse({5}, rotation), record_level=1)
+    assert fast[2].omitted_msgs > 0
+    assert fast[0] == reference[0]
+    assert [repr(r) for r in fast[1].rounds] == [repr(r) for r in reference[1].rounds]

@@ -1,5 +1,6 @@
 import pytest
 
+from omsim.adversaries import Eclipse
 from omsim.engine import (
     Engine, SystemConfig, Message, AdversaryStrategy, AdversaryAction,
     apply_adversary_action, run_execution,
@@ -156,7 +157,7 @@ class CorruptSilenceOne(AdversaryStrategy):
     def corruptions(self, obs):
         return (1,)
 
-    def silenced(self):
+    def silenced(self, corrupted):
         return frozenset({1})
 
 
@@ -189,7 +190,8 @@ def test_hook_strategy_budget_enforced():
 
 
 class FilterAll(AdversaryStrategy):
-    """Corrupts process 1 and keeps what `keep` makes of its receivers."""
+    """Corrupts process 1 and keeps its messages to the receivers `keep`
+    accepts."""
 
     def __init__(self, keep):
         self.keep = keep
@@ -197,34 +199,68 @@ class FilterAll(AdversaryStrategy):
     def corruptions(self, obs):
         return (1,)
 
-    def send_filter(self, rnd, sender, receivers):
-        return self.keep(receivers)
+    def send_filter(self, rnd, sender, receiver):
+        return self.keep(receiver)
 
 
 def test_send_filter_drops_are_omissions():
     cfg = SystemConfig(n=4, t=1, seed=5, inputs=(0, 1, 1, 1))
-    dec, trace, m = run_execution(cfg, Echo, FilterAll(lambda rs: rs[1:]), record_level=1)
-    assert m.sent_msgs == 12 and m.omitted_msgs == 1 and m.delivered_msgs == 11
+    dec, trace, m = run_execution(cfg, Echo, FilterAll(lambda q: q != 2), record_level=1)
+    assert m.sent_msgs == 12 and m.omitted_msgs == 1
     assert [(o.sender, o.receiver) for o in trace.rounds[0].omitted_messages] == [(1, 2)]
     assert dec[2][0] == 1 and dec[3][0] == dec[4][0] == 0
     assert m.revalidate(trace) and trace.verify(cfg.t)
 
 
-@pytest.mark.parametrize("keep", [
-    lambda rs: rs + rs,
-    lambda rs: rs[:1] * 2,
-    lambda rs: rs[1:] + (1,),
-    lambda rs: (5,),
-], ids=["repeats-all", "repeats-one", "adds-sender", "adds-outsider"])
-def test_send_filter_must_keep_a_subset(keep):
-    cfg = SystemConfig(n=4, t=1, seed=5, inputs=(0, 1, 1, 1))
-    with pytest.raises(AdversaryViolation):
-        run_execution(cfg, Echo, FilterAll(keep))
+class Broadcaster(Echo):
+    """Every process sends ("x", pid) to every other process in each of
+    four rounds, as one broadcast entry per round."""
+
+    closed_form_T = 5
+
+    def sends(self, ctx, others):
+        ctx.broadcast(others, ("x", ctx.pid), 1)
+
+    def run(self, ctx):
+        others = [q for q in range(1, ctx.n + 1) if q != ctx.pid]
+        for _ in range(4):
+            self.sends(ctx, others)
+            yield
+        ctx.decide(0)
+
+
+class Unicaster(Broadcaster):
+    """The same messages, as one one-receiver entry per receiver, in
+    descending receiver order."""
+
+    def sends(self, ctx, others):
+        for q in reversed(others):
+            ctx.broadcast((q,), ("x", ctx.pid), 1)
+
+
+@pytest.mark.parametrize("rotation", [2, 3])
+def test_eclipse_omits_the_same_links_however_sends_are_grouped(rotation):
+    cfg = SystemConfig(n=7, t=2, seed=5, inputs=(0,) * 7)
+
+    def links(protocol):
+        _, trace, m = run_execution(cfg, protocol, Eclipse({2, 5}, rotation),
+                                    record_level=1)
+        assert m.revalidate(trace) and trace.verify(cfg.t)
+        omitted = {(r.index, o.sender, o.receiver)
+                   for r in trace.rounds for o in r.omitted_messages}
+        sent = {(r.index, o.sender, o.receiver)
+                for r in trace.rounds for o in r.messages}
+        return sent - omitted, omitted
+
+    delivered, omitted = links(Broadcaster)
+    assert (delivered, omitted) == links(Unicaster)
+    assert omitted == {(r, s, q) for r in range(1, 5) for s in (2, 5)
+                       for q in range(1, 8) if q != s and (q + r) % rotation == 0}
 
 
 def test_silenced_must_be_corrupted():
     class Bad(AdversaryStrategy):
-        def silenced(self):
+        def silenced(self, corrupted):
             return frozenset({2})
 
     cfg = SystemConfig(n=4, t=1, seed=5, inputs=(0, 1, 1, 1))

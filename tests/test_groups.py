@@ -179,7 +179,7 @@ class SilenceSet(AdversaryStrategy):
     def corruptions(self, obs):
         return self.pids
 
-    def silenced(self):
+    def silenced(self, corrupted):
         return self.pids
 
 
