@@ -18,6 +18,7 @@ omission destroys messages in transit. Headers are free, payloads are
 priced by the canonical encoding table (see `count_bits` and friends).
 """
 
+import gc
 import random
 from dataclasses import dataclass, field
 from itertools import count
@@ -239,21 +240,20 @@ class ExecutionTrace:
         self.notes = {}
 
     def verify(self, t):
-        """Replay-style checks of the model constraints on a full trace."""
-        assert len(self.corrupted) <= t, "corrupted set exceeds t"
-        prev_ops = None
+        """Replay-style checks of the model constraints; raises AssertionError."""
         seen_corrupted = set()
+        prev_ops = float("inf")
         for rec in self.rounds:
-            for p in rec.corrupted_new:
-                seen_corrupted.add(p)
-            assert len(seen_corrupted) <= t
-            if rec.omitted_messages is not None:
-                for m in rec.omitted_messages:
-                    assert m.sender in seen_corrupted or m.receiver in seen_corrupted, \
-                        "omission touches no corrupted endpoint"
-            if prev_ops is not None:
-                assert rec.operative <= prev_ops, "operative count regrew"
+            seen_corrupted.update(rec.corrupted_new)
+            if rec.omitted_messages is not None and any(
+                    m.sender not in seen_corrupted and m.receiver not in seen_corrupted
+                    for m in rec.omitted_messages):
+                raise AssertionError("round %d: omitted an honest link" % rec.index)
+            if rec.operative > prev_ops:
+                raise AssertionError("round %d: operative count regrew" % rec.index)
             prev_ops = rec.operative
+        if max(len(self.corrupted), len(seen_corrupted)) > t:
+            raise AssertionError("corrupted set exceeds t")
         return True
 
 
@@ -325,6 +325,17 @@ class Engine:
         self.trace = ExecutionTrace()
 
     def run(self):
+        # refcounting frees all a run drops (see _rounds), so the cyclic
+        # collector would only rescan live messages: pause it for the run
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self._rounds()
+        finally:
+            if enabled:
+                gc.enable()
+
+    def _rounds(self):
         cfg = self.config
         n, t = cfg.n, cfg.t
         strategy = self.adversary

@@ -15,10 +15,10 @@ relay reads on every call (`relay_tables`): per stage, each member's
 shared per round: it is a pure function of the sources a member knows of,
 so it is built once per round for each such source set, keyed by it, and
 every member that knows of the same sources reads that one merge
-(`shared_merge`).  The gossip carries each group's pair as one
-`(i, ones, zeros)` entry tuple, built once by the group's members and then
-shared by every payload and every receiver; a round's new entries go out
-as one payload, shared by every neighbor that sent p nothing last round.
+(`shared_merge`).  The gossip carries group i's pair as an entry tuple
+`(i, ones, zeros)`; each member of group i builds its own, and a receiver
+passes on the first copy it stores.  A round's new entries go out as one
+payload, shared by every neighbor that sent p nothing last round.
 Counts are plain integers throughout.
 
 The gossip and the trade-off protocol's flooding receive through one step,
@@ -29,7 +29,6 @@ inoperative threshold.
 
 import math
 from bisect import bisect_left
-from itertools import filterfalse
 from operator import itemgetter
 
 from .engine import ConfigError, count_bits, group_index_bits, isqrt_ceil, log2_ceil
@@ -323,8 +322,10 @@ def delivery_rule(st, active, inbox, kind, threshold, divisor):
     of the messages read, in sender order.
     """
     disregarded = st.disregarded
-    bodies = {s: payload[1] for s, payload in inbox
-              if payload[0] == kind and s not in disregarded}
+    bodies = {s: payload[1] for s, payload in inbox if payload[0] == kind}
+    if disregarded:
+        for s in disregarded.intersection(bodies):
+            del bodies[s]
     if len(bodies) < len(active):
         disregarded.update(q for q in active if q not in bodies)
         active = [q for q in active if q in bodies]
@@ -344,9 +345,10 @@ def group_bits_spreading(inst, ctx, st, gpair):
     and all later epochs.  Returns the integer (ones, zeros) summed over the
     filled entries, or None for a process that is (or became) inoperative.
 
-    Group i's entry is the tuple (i, ones, zeros), built once by its own
-    members; every payload that carries it, and every receiver that stores
-    it, holds that same tuple.
+    Group i's entry is a tuple (i, ones, zeros).  Each member of group i
+    builds its own, and under omissions two members can hold different
+    counts; a receiver passes on the first copy it stores.  So entries are
+    told apart by index alone, not by tuple identity or equality.
 
     What an edge has not carried needs no per-edge memory.  Every neighbor
     was offered all of `filled` up to the last round, so only the entries
@@ -354,11 +356,11 @@ def group_bits_spreading(inst, ctx, st, gpair):
     exactly the ones that neighbor sent p in the last round.
     """
     entries = [None] * inst.m   # group index -> its entry, once known
-    filled = []   # indices in arrival order
+    filled = []   # the known entries in arrival order
     if st.operative and gpair is not None:
         gi = inst.group_of[ctx.pid]
         entries[gi] = (gi,) + gpair
-        filled.append(gi)
+        filled.append(entries[gi])
     active = [q for q in inst.neighbors[ctx.pid] if q not in st.disregarded]
     offered = 0      # prefix of `filled` already offered to every neighbor
     last = {}        # neighbor -> entries it sent p in the last round
@@ -378,15 +380,15 @@ def group_bits_spreading(inst, ctx, st, gpair):
         empties = []
         if new:
             # one payload for every neighbor that sent p nothing last round
-            every = ("sp", tuple(map(entries.__getitem__, new)))
+            every = ("sp", tuple(new))
             every_bits = len(new) * entry_bits
             for q in active:
                 got = last.get(q)
                 if not got:
                     ctx.broadcast((q,), every, every_bits)
                     continue
-                fresh = tuple(map(entries.__getitem__, filterfalse(
-                    set(map(_index, got)).__contains__, new)))
+                carried = set(map(_index, got))
+                fresh = tuple([e for e in new if e[0] not in carried])
                 if fresh:
                     ctx.broadcast((q,), ("sp", fresh), len(fresh) * entry_bits)
                 else:
@@ -403,8 +405,7 @@ def group_bits_spreading(inst, ctx, st, gpair):
                     i = e[0]
                     if entries[i] is None:
                         entries[i] = e
-                        filled.append(i)
+                        filled.append(e)
     if not st.operative:
         return None
-    known = [e for e in entries if e is not None]
-    return sum(e[1] for e in known), sum(e[2] for e in known)
+    return sum(e[1] for e in filled), sum(e[2] for e in filled)

@@ -49,18 +49,20 @@ class Metrics:
         )
 
     def revalidate(self, trace):
-        """Recount the tallies from the trace; any mismatch is a bug.  Where
-        the messages and draws were recorded (record_level >= 1), each
+        """Recount the tallies from the trace; a mismatch raises AssertionError.
+        Where the messages and draws were recorded (record_level >= 1), each
         round's counts are redone from its message lists and draws."""
-        assert self.T == len(trace.rounds)
+        if self.T != len(trace.rounds):
+            raise AssertionError("T: %d rounds recorded" % len(trace.rounds))
         for r in trace.rounds:
             if r.messages is None:
                 continue
-            assert r.sent == len(r.messages), "round %d: sent" % r.index
-            assert r.bits == sum(m.bits for m in r.messages), "round %d: bits" % r.index
-            assert r.omitted == len(r.omitted_messages), "round %d: omitted" % r.index
-            assert r.rand_accesses == sum(map(len, r.draws.values())), \
-                "round %d: rand_accesses" % r.index
+            for what, recount in (("sent", len(r.messages)),
+                                  ("bits", sum(m.bits for m in r.messages)),
+                                  ("omitted", len(r.omitted_messages)),
+                                  ("rand_accesses", sum(map(len, r.draws.values())))):
+                if getattr(r, what) != recount:
+                    raise AssertionError("round %d: %s" % (r.index, what))
         return True
 
 

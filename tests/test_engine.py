@@ -1,5 +1,12 @@
+import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import omsim
 from omsim.adversaries import Eclipse
 from omsim.engine import (
     Engine, SystemConfig, Message, AdversaryStrategy, AdversaryAction,
@@ -187,6 +194,7 @@ def test_hook_strategy_budget_enforced():
     cfg = SystemConfig(n=4, t=1, seed=5, inputs=(0, 1, 1, 1))
     with pytest.raises(AdversaryViolation):
         run_execution(cfg, Echo, Greedy())
+    assert gc.isenabled()   # the run paused the collector and gave it back
 
 
 class FilterAll(AdversaryStrategy):
@@ -280,6 +288,7 @@ def test_liveness_failure_on_undecided():
     cfg = SystemConfig(n=3, t=0, seed=5, inputs=(0, 0, 0))
     with pytest.raises(LivenessFailure):
         run_execution(cfg, Stuck)
+    assert gc.isenabled()   # the run paused the collector and gave it back
 
 
 def test_round_budget_is_closed_form_plus_t_plus_8():
@@ -315,6 +324,61 @@ def test_metrics_revalidate_and_trace_verify():
     trace.rounds[0].rand_accesses -= 1
     with pytest.raises(AssertionError):
         m.revalidate(trace)
+
+
+# `python -O` strips assert statements; the record checks must still raise
+TAMPERED = """
+from omsim.engine import SystemConfig, run_execution
+from omsim.harness import make_protocol
+from omsim.params import acceptance
+assert False, "asserts are not stripped"
+cfg = SystemConfig(n=31, t=1, seed=3, inputs=(0, 1) * 15 + (0,), params=acceptance())
+_, trace, m = run_execution(cfg, make_protocol(cfg), record_level=1)
+trace.rounds[{index}].{field} += {delta}
+{check}
+"""
+
+
+@pytest.mark.parametrize("index, field, delta, check", [
+    (0, "bits", 1, "m.revalidate(trace)"),
+    (-1, "operative", 1, "trace.verify(cfg.t)"),
+])
+def test_record_checks_raise_under_python_O(index, field, delta, check):
+    script = TAMPERED.format(index=index, field=field, delta=delta, check=check)
+    env = dict(os.environ, PYTHONPATH=str(Path(omsim.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1
+    assert run.stderr.splitlines()[-1].startswith("AssertionError: round ")
+
+
+class SeesCollector(Echo):
+    """Echo that notes, in its first local phase, whether the cyclic
+    collector runs."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.seen = []
+
+    def run(self, ctx):
+        self.seen.append(gc.isenabled())
+        yield from super().run(ctx)
+
+
+def test_run_pauses_the_collector_and_restores_its_state():
+    cfg = SystemConfig(n=4, t=0, seed=5, inputs=(0, 1, 1, 1))
+    assert gc.isenabled()
+    protocol = SeesCollector(cfg)
+    run_execution(cfg, protocol)
+    assert protocol.seen == [False] * 4 and gc.isenabled()
+    # a run started with the collector off leaves it off
+    gc.disable()
+    try:
+        protocol = SeesCollector(cfg)
+        run_execution(cfg, protocol)
+        assert protocol.seen == [False] * 4 and not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("adversary", ["none", "coin-biaser"])

@@ -1,3 +1,5 @@
+from bisect import bisect_left
+
 import pytest
 
 from omsim import groups
@@ -8,7 +10,8 @@ from omsim.groups import (
     Instance, build_tree, delivery_rule, make_groups, relay_tables,
     group_bits_aggregation, group_bits_spreading,
 )
-from omsim.params import scaled
+from omsim.harness import make_adversary, make_protocol, resolve_inputs
+from omsim.params import acceptance, scaled
 
 
 class OneEpoch:
@@ -215,18 +218,56 @@ def test_silencing_two_of_five_kills_the_group():
 
 # --- spreading traffic ---------------------------------------------------
 
+def gossip_edge_violations(trace, epoch_boundaries):
+    """Breaches of the gossip's per-edge rule in a record_level=1 trace.
+    Within one epoch, p->q carries group index i at most once, and never in
+    a round after one in which a q->p message carrying i reached p."""
+    carried = set()   # (epoch, sender, receiver, i)
+    reached = {}      # (epoch, sender, receiver, i) -> round it was delivered
+    violations = []
+    for rec in trace.rounds:
+        epoch = bisect_left(epoch_boundaries, rec.index)
+        omitted = {(m.sender, m.receiver) for m in rec.omitted_messages}
+        sp = [m for m in rec.messages if m.payload[0] == "sp"]
+        for m in sp:
+            for i, _, _ in m.payload[1]:
+                key = (epoch, m.sender, m.receiver, i)
+                if key in carried:
+                    violations.append(("again", rec.index) + key)
+                if reached.get((epoch, m.receiver, m.sender, i), rec.index) < rec.index:
+                    violations.append(("back", rec.index) + key)
+                carried.add(key)
+        for m in sp:
+            if (m.sender, m.receiver) not in omitted:
+                for i, _, _ in m.payload[1]:
+                    reached.setdefault((epoch, m.sender, m.receiver, i), rec.index)
+    return violations, len(carried)
+
+
 def test_spreading_sends_each_entry_once_per_direction():
     inst, (dec, trace, _) = run_one_epoch(25, 0, (1,) * 25, seed=5, record_level=1)
-    carried = {}
-    for rec in trace.rounds:
-        for msg in rec.messages or ():
-            if msg.payload[0] != "sp":
-                continue
-            for entry in msg.payload[1]:
-                key = (msg.sender, msg.receiver, entry[0])
-                assert key not in carried, "entry repeated on a directed edge"
-                carried[key] = True
+    violations, carried = gossip_edge_violations(trace, ())
+    assert not violations, violations[:5]
     assert carried  # the gossip actually happened
+
+
+# rotation 3 leaves the targets operative through the gossip, so some of
+# their `sp` messages are lost and the "never back" rule meets omissions
+@pytest.mark.parametrize("adversary, opts", [
+    ("none", None), ("eclipse", {"targets": [7, 40], "rotation": 3})])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gossip_never_sends_an_edge_what_it_carried(adversary, opts, seed):
+    n, t = 64, 2
+    cfg = SystemConfig(n=n, t=t, seed=seed, inputs=resolve_inputs(None, n),
+                       params=acceptance())
+    protocol = make_protocol(cfg)
+    _, trace, _ = run_execution(cfg, protocol, make_adversary(adversary, n, t, opts),
+                                record_level=1)
+    violations, carried = gossip_edge_violations(trace, protocol.epoch_boundaries)
+    assert not violations, violations[:5]
+    assert carried > n       # the gossip ran
+    lost = sum(o.payload[0] == "sp" for r in trace.rounds for o in r.omitted_messages)
+    assert (lost > 0) == (adversary == "eclipse")
 
 
 def test_empty_gossip_messages_cost_nothing():
