@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .engine import BudgetExceeded, ConfigError, check_trials
+from .engine import BudgetExceeded, ConfigError, check_seed, check_trials
 
 UNBIASABLE = math.inf
 
@@ -113,6 +113,7 @@ def bias_probability(game, v, B, mode="exact", trials=20000, seed=0, budget=20):
                 total += pr
         return total
     check_trials(trials)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     hits = 0
     doms = [game.domain(i) for i in range(game.k)]
@@ -169,6 +170,7 @@ def anti_concentration_check(n, tau, trials=10 ** 6, seed=0):
     if tau > math.sqrt(n) / 8:
         raise ConfigError("tau exceeds sqrt(n)/8")
     check_trials(trials)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     x = rng.binomial(n, 0.5, size=trials)
     estimate = float(np.mean(x - n / 2 >= tau * math.sqrt(n)))

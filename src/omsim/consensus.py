@@ -133,6 +133,5 @@ class MainConsensus:
 
     def run(self, ctx):
         st = ctx.state
-        targets = self.inst.others(ctx.pid)
-        informed = yield from main_core(self.inst, ctx, st, targets)
-        yield from closing(ctx, st, informed, self.config.t, targets)
+        informed = yield from main_core(self.inst, ctx, st, ctx.others)
+        yield from closing(ctx, st, informed, self.config.t, ctx.others)

@@ -20,6 +20,7 @@ priced by the canonical encoding table (see `count_bits` and friends).
 
 import gc
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import count
 from operator import itemgetter
@@ -45,6 +46,12 @@ def check_trials(trials):
     """A sampled estimate needs at least one trial."""
     if trials < 1:
         raise ConfigError("need trials >= 1, got %d" % trials)
+
+
+def check_seed(seed):
+    """numpy's generators take only non-negative seeds."""
+    if seed < 0:
+        raise ConfigError("need seed >= 0, got %d" % seed)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +294,17 @@ class Context:
         self._rng = random.Random("%d:%d" % (engine.config.seed, pid))
 
     @property
+    def others(self):
+        """Every process but pid, ascending, as one tuple per run; the engine
+        delivers a round in which each entry goes to its sender's `others`
+        from one board."""
+        engine, pid = self._engine, self.pid
+        mine = engine.others[pid]
+        if mine is None:
+            mine = engine.others[pid] = engine.pids[:pid - 1] + engine.pids[pid:]
+        return mine
+
+    @property
     def round(self):
         """The engine round whose local phase is running."""
         return self._engine.round
@@ -346,10 +364,14 @@ class Engine:
         general = cls.decide is not AdversaryStrategy.decide
         send_filter = (strategy.send_filter
                        if cls.send_filter is not AdversaryStrategy.send_filter else None)
+        # each process's `others` slices one tuple of pids, so all share its
+        # ints; built on first use (Context.others), as not every run reads it
+        pids = self.pids = tuple(range(1, n + 1))
+        self.others = [None] * (n + 1)
         # contexts point at the engine, so only the run holds them: a finished
         # engine is freed at once, not at the next cyclic collection
         ctxs = [Context(self, p, cfg.inputs[p - 1] if cfg.inputs else 0)
-                for p in range(1, n + 1)]
+                for p in pids]
         states = self.states = [c.state for c in ctxs]
         # the one record of liveness: a finished process's generator is None
         gens = [None] + [self.protocol.run(c) for c in ctxs]
@@ -421,7 +443,7 @@ class Engine:
     # far. Neither calls the other, so a wrapper around each sees a round once.
     def _deliver_fast(self, outbox, inbox, gens, rec, silenced, send_filter):
         self._transmit(outbox, self._batch_kept(outbox, silenced, send_filter),
-                       inbox, gens, rec)
+                       inbox, gens, rec, silenced)
 
     def _deliver_general(self, outbox, inbox, gens, rec, silenced, send_filter):
         kept = list(self._batch_kept(outbox, silenced, send_filter))
@@ -435,7 +457,7 @@ class Engine:
             self._absorb_corruptions(action.corrupt, rec)
             pos = count()
             kept = [[q for q in ks if next(pos) not in action.omit] for ks in kept]
-        self._transmit(outbox, kept, inbox, gens, rec)
+        self._transmit(outbox, kept, inbox, gens, rec, silenced)
 
     def _batch_kept(self, outbox, silenced, send_filter):
         """Each entry's receivers that the batch hooks keep: none of a
@@ -456,18 +478,24 @@ class Engine:
         return out
 
     # the one delivery accounting step: count every entry's messages, record
-    # the omitted ones in receiver order, and append the kept ones to the
-    # inboxes; gens[q] is None once q has finished
-    def _transmit(self, outbox, kept, inbox, gens, rec):
+    # the omitted ones in receiver order, and fill the inboxes with the kept
+    # ones; gens[q] is None once q has finished
+    def _transmit(self, outbox, kept, inbox, gens, rec, silenced):
         full = self.record_level >= 1
         if full:
             rec.messages = []
             rec.omitted_messages = []
         sent = bits = omitted = 0
-        # pre-bound appends; a finished process's slot keeps nothing, and
         # once every process has finished nothing is delivered, only counted
-        appends = [id if g is None else box.append for g, box in zip(gens, inbox)]
         live = any(g is not None for g in gens)
+        others, quiet = self.others, len(silenced)
+        # While every entry that delivers anything goes to all its sender's
+        # others but the silenced (kept receivers are a subset of those, so
+        # the lengths tell), the round is one board of (pair, kept) in outbox
+        # order, which is sender order as the local phase runs processes in
+        # pid order. Otherwise appends fill the inboxes, pre-bound per
+        # process; a finished process's slot keeps nothing.
+        board, appends = [], None
         for (sender, receivers, payload, b), ks in zip(outbox, kept):
             k = len(receivers)
             sent += k
@@ -480,17 +508,37 @@ class Engine:
                     keep = set(ks)
                     rec.omitted_messages.extend(Message(sender, q, payload, b)
                                                 for q in receivers if q not in keep)
-            if live:
-                pair = (sender, payload)
-                for q in ks:
-                    appends[q](pair)
+            if not (live and ks):
+                continue
+            pair = (sender, payload)
+            if appends is None:
+                if receivers is others[sender] and len(ks) == k - quiet:
+                    board.append((pair, ks))
+                    continue
+                appends = [id if g is None else box.append for g, box in zip(gens, inbox)]
+                for bpair, bks in board:
+                    for q in bks:
+                        appends[q](bpair)
+            for q in ks:
+                appends[q](pair)
         rec.sent, rec.bits, rec.omitted = sent, bits, omitted
+        if appends is None and board:
+            # each live, unsilenced receiver gets the board minus its own slice
+            pairs = [pair for pair, _ in board]
+            senders = [s for s, _ in pairs]
+            for q, g in enumerate(gens):
+                if g is not None and q not in silenced:
+                    box = inbox[q] = pairs.copy()
+                    del box[bisect_left(senders, q):bisect_right(senders, q)]
 
     def _absorb_corruptions(self, corrupt, rec):
         corrupted = self.trace.corrupted
         newly = [p for p in corrupt if p not in corrupted]
         if not newly:
             return
+        if not all(1 <= p <= self.config.n for p in newly):
+            raise AdversaryViolation("corrupted pids outside 1..%d: %s"
+                                     % (self.config.n, sorted(newly)))
         if len(corrupted) + len(newly) > self.config.t:
             raise AdversaryViolation(
                 "corruption budget exceeded at round %d" % self.round)

@@ -62,7 +62,10 @@ def run_fallback(ctx, value, t, targets):
         for v, chain in proc.take_pending():
             ctx.broadcast(targets, ("fb", v, chain), 1 + chain_bits(len(chain), ctx.n))
         inbox = yield
-        proc.receive(r, [(m[1], m[2]) for _, m in inbox if m[0] == "fb"])
+        # a value already accepted stays so, and receive() would drop it
+        accepted = proc.accepted
+        proc.receive(r, [(m[1], m[2]) for _, m in inbox
+                         if m[0] == "fb" and m[1] not in accepted])
     return proc.decision()
 
 

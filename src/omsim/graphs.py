@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .engine import BudgetExceeded, ConfigError, check_trials, log2_ceil
+from .engine import BudgetExceeded, ConfigError, check_seed, check_trials, log2_ceil
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,7 @@ class GraphConfig:
     def __post_init__(self):
         if self.delta < 1:
             raise ConfigError("need delta >= 1")
+        check_seed(self.seed)
 
     @property
     def rho(self):

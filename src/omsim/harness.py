@@ -193,12 +193,14 @@ INT_CELL_KEYS = ("n", "t", "x", "record_level")
 
 
 def cell_seeds(seeds):
-    """A cell's "seeds": a count or a list of integer seeds."""
-    if is_int(seeds):
+    """A cell's "seeds": a positive count or a non-empty list of integer
+    seeds; a cell that would run nothing is an error."""
+    if is_int(seeds) and seeds >= 1:
         return list(range(seeds))
-    if isinstance(seeds, list) and all(map(is_int, seeds)):
+    if isinstance(seeds, list) and seeds and all(map(is_int, seeds)):
         return seeds
-    raise ConfigError('"seeds" must be a count or a list of integers, got %r' % (seeds,))
+    raise ConfigError('"seeds" must be a count or a list of integers naming at least '
+                      'one seed, got %r' % (seeds,))
 
 
 def run_sweep(plan):
@@ -222,6 +224,9 @@ def run_sweep(plan):
             bad = [k for k in INT_CELL_KEYS if k in cell and not is_int(cell[k])]
             if bad:
                 raise ConfigError("cell keys must be integers: %s" % ", ".join(bad))
+            if cell.get("record_level", 0) not in (0, 1, 2):
+                raise ConfigError("record_level must be 0, 1 or 2, got %d"
+                                  % cell["record_level"])
             constants = build_constants(overrides, preset)
         except ConfigError as e:
             records.append({"cell": idx, "error": str(e)})

@@ -14,7 +14,7 @@ whatever the truncated inner runs conclude about their private operative
 flags stays inside them.
 """
 
-from collections import Counter
+from operator import itemgetter
 
 from .engine import ConfigError, ProtoState, log2_ceil
 from .consensus import checked_constants, closing, decide_candidate, disseminate, main_core
@@ -97,16 +97,20 @@ class TradeoffConsensus:
 
         # safety rule: one exchange of candidate bits among the operative;
         # the middle band keeps the current bit, so it draws no coin
-        # one tuple, so every broadcast to it shares it rather than copying
-        others = tuple(range(1, ctx.pid)) + tuple(range(ctx.pid + 1, ctx.n + 1))
         if st.operative:
-            ctx.broadcast(others, ("sv", st.b), 1)
-        # tallied without naming the inbox, so no (n - 1)-entry list stays
-        # referenced from this frame through the closing rounds
-        votes = Counter(pl[1] for _, pl in (yield) if pl[0] == "sv")
-        if st.operative and votes:
-            st.b, st.decided = decide_candidate(votes[1], votes[0], self.constants,
+            ctx.broadcast(ctx.others, ("sv", st.b), 1)
+        ones, zeros = safety_votes((yield))
+        if st.operative and ones + zeros:
+            st.b, st.decided = decide_candidate(ones, zeros, self.constants,
                                                 lambda: st.b)
 
-        informed = yield from disseminate(ctx, st, others)
-        yield from closing(ctx, st, informed, self.config.t, others)
+        informed = yield from disseminate(ctx, st, ctx.others)
+        yield from closing(ctx, st, informed, self.config.t, ctx.others)
+
+
+def safety_votes(inbox):
+    """The (ones, zeros) of the safety exchange's "sv" messages, counted in
+    C; the run's frame never names the (n - 1)-message inbox, so it is not
+    kept through the closing rounds."""
+    payloads = list(map(itemgetter(1), inbox))
+    return payloads.count(("sv", 1)), payloads.count(("sv", 0))

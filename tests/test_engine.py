@@ -2,6 +2,7 @@ import gc
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -402,3 +403,109 @@ def test_messages_to_finished_processes_still_count(adversary):
     assert m.revalidate(trace)
     assert [(r.sent, r.bits, r.omitted) for r in plain.rounds] == \
         [(r.sent, r.bits, r.omitted) for r in trace.rounds]
+
+
+class AllToAll:
+    """Every process sends ("a", pid, r) to ctx.others in each of three
+    rounds, odd pids a second entry in round 2; process 3 also sends one
+    message to process 1 in round `unicast`, and process `early` finishes
+    after round 1. Each inbox a process gets is kept in `inboxes`."""
+
+    closed_form_T = 4
+    epoch_boundaries = ()
+
+    def __init__(self, config, unicast=None, early=None):
+        self.unicast, self.early = unicast, early
+        self.inboxes = {}
+
+    def run(self, ctx):
+        for r in range(1, 4):
+            ctx.broadcast(ctx.others, ("a", ctx.pid, r), 1)
+            if r == 2 and ctx.pid % 2:
+                ctx.broadcast(ctx.others, ("b", ctx.pid), 2)
+            if r == self.unicast and ctx.pid == 3:
+                ctx.broadcast((1,), ("u", r), 1)
+            self.inboxes[r, ctx.pid] = yield
+            if ctx.pid == self.early:
+                break
+        ctx.decide(0)
+
+
+class SilenceTwoAndFive(AdversaryStrategy):
+    def corruptions(self, obs):
+        return (2, 5)
+
+    def silenced(self, corrupted):
+        return frozenset(corrupted)
+
+
+def appended_inboxes(trace, running):
+    """Each running receiver's inbox rebuilt from the trace by appends: the
+    round's delivered messages in send order, less one of each omitted."""
+    boxes = {}
+    for rec in trace.rounds:
+        dropped = Counter(rec.omitted_messages)
+        for m in rec.messages:
+            if dropped[m]:
+                dropped[m] -= 1
+            elif (rec.index, m.receiver) in running:
+                boxes.setdefault((rec.index, m.receiver), []).append((m.sender, m.payload))
+    return {key: boxes.get(key, []) for key in running}
+
+
+@pytest.mark.parametrize("adversary, options", [
+    (AdversaryStrategy, {}),
+    (SilenceTwoAndFive, {}),
+    (lambda: FilterAll(lambda q: q != 2), {}),   # one dropped link: appends
+    (AdversaryStrategy, {"unicast": 2}),         # a one-receiver entry: appends
+    (AdversaryStrategy, {"early": 4}),
+    (OmitAllFromOne, {}),                        # decide() omissions: appends
+    (CorruptSilenceOneDecidingNothing, {}),
+])
+def test_board_inboxes_equal_appended_inboxes(adversary, options):
+    cfg = SystemConfig(n=7, t=2, seed=5, inputs=(0,) * 7)
+    runs = []
+    for level in (0, 1):
+        protocol = AllToAll(cfg, **options)
+        _, trace, _ = run_execution(cfg, protocol, adversary(), record_level=level)
+        runs.append(protocol.inboxes)
+    assert runs[0] == runs[1]
+    inboxes = runs[1]
+    assert len(inboxes) == (19 if options.get("early") else 21)
+    assert inboxes == appended_inboxes(trace, set(inboxes))
+    assert all(s != q for (_, q), box in inboxes.items() for s, _ in box)
+
+
+@pytest.mark.parametrize("protocol, x", [("main", 1), ("tradeoff", 4)])
+def test_all_to_all_kinds_go_to_ctx_others(monkeypatch, protocol, x):
+    # the inner runs' dissemination goes to their own block's members, so
+    # only the trade-off's rounds after its phases must use ctx.others
+    seen = set()
+    transmit = Engine._transmit
+
+    def checked(self, outbox, *args):
+        for sender, receivers, payload, _ in outbox:
+            if payload[0] in ("sv", "fb", "fd") or (
+                    payload[0] == "dv" and self.round > after_phases):
+                assert receivers is self.others[sender], (self.round, payload)
+                seen.add(payload[0])
+        return transmit(self, outbox, *args)
+
+    monkeypatch.setattr(Engine, "_transmit", checked)
+    n = 64 if protocol == "main" else 128
+    for inputs in ("alternating", "ones"):
+        cfg = SystemConfig(n=n, t=2, seed=0, inputs=resolve_inputs(inputs, n),
+                           params=acceptance())
+        proto = make_protocol(cfg, protocol, x)
+        after_phases = sum(getattr(proto, "phase_budgets", ()))
+        run_execution(cfg, proto)
+    assert seen == ({"dv", "fb", "fd"} if protocol == "main" else {"dv", "sv", "fb", "fd"})
+
+
+def test_corrupting_a_pid_outside_1_to_n_is_a_violation():
+    class OutOfRange(AdversaryStrategy):
+        def corruptions(self, obs):
+            return (9,)
+
+    with pytest.raises(AdversaryViolation, match="outside 1..7"):
+        run_execution(SystemConfig(n=7, t=2, seed=5, inputs=(0,) * 7), Echo, OutOfRange())

@@ -203,9 +203,21 @@ def test_cli_coin_game_over_budget_exit_2():
     ["coin-game", "--anti-concentration", "--n", "100", "--tau=-inf", "--trials", "100"],
     ["coin-game", "--coeff", "inf"],
     ["graph-check", "-n", "40", "--alpha", "inf"],
+    ["graph-check", "-n", "40", "--seed", "-5"],
+    ["coin-game", "--mode", "mc", "--seed", "-1"],
+    ["coin-game", "--anti-concentration", "--seed", "-1"],
 ])
 def test_cli_bad_numeric_inputs_exit_2(args):
     assert_config_exit(CliRunner().invoke(cli_main, args))
+
+
+@pytest.mark.parametrize("protocol", [[], ["--protocol", "tradeoff", "--x", "2"]])
+def test_cli_run_negative_seed_exits_0(protocol):
+    # the overlay masks its graph seed, so any run seed makes a graph
+    res = CliRunner().invoke(cli_main, ["run", "-n", "62", "-t", "1", "--seed", "-5"]
+                             + protocol)
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["seed"] == -5
 
 
 def test_cli_graph_check_small_n_exits_0():
@@ -293,6 +305,10 @@ CRASH = {"n": 31, "t": 1, "adversary": "crash"}
     (dict(CRASH, adversary_opts={"rotation": 2}),
      "ConfigError: adversary crash takes no option rotation"),
     (dict(CRASH, adversary=["crash"]), "ConfigError: unknown adversary ['crash']"),
+    ({"n": 31, "t": 1, "seeds": -1}, "\"seeds\" must be a count or a list of integers"),
+    ({"n": 31, "t": 1, "seeds": []}, "\"seeds\" must be a count or a list of integers"),
+    ({"n": 31, "t": 1, "record_level": 5}, "record_level must be 0, 1 or 2"),
+    ({"n": 31, "t": 1, "record_level": -1}, "record_level must be 0, 1 or 2"),
 ])
 def test_run_sweep_bad_value_type_is_that_cells_error(tmp_path, bad_cell, message):
     plan = {"cells": [bad_cell, {"n": 31, "t": 1, "seeds": 1}]}
