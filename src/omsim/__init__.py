@@ -7,8 +7,7 @@ coin-flipping-game oracle for the randomness lower bound.
 
 from .engine import (
     SystemConfig, Message, ExecutionTrace,
-    AdversaryStrategy, AdversaryAction, AdversaryObservation,
-    adversary_view, apply_adversary_action, run_execution,
+    AdversaryStrategy, AdversaryObservation, adversary_view, run_execution,
     ConfigError, AdversaryViolation, LivenessFailure, BudgetExceeded,
     count_bits, group_index_bits, chain_bits, log2_ceil, isqrt_ceil,
 )

@@ -1,7 +1,9 @@
 """Adversary strategies for experiments and stress tests.
 
-All of these use the engine's batch interface (silenced sets and per-link
-send filters); legality is still enforced by the engine on every action.
+Each strategy uses the engine's one adversary interface: `corruptions`,
+then `silenced` (every link of a silenced process is dropped), then
+`link_filter`, asked about each remaining link with a corrupted endpoint,
+in either direction. Legality is still enforced by the engine.
 Each strategy is deterministic given its observation stream, so a rerun
 with the same seed reproduces the trace bit for bit.
 """
@@ -90,8 +92,8 @@ class Eclipse(AdversaryStrategy):
         self._fired = True
         return self.targets
 
-    def send_filter(self, rnd, sender, receiver):
-        return (receiver + rnd) % self.rotation != 0
+    def link_filter(self, rnd, sender, receiver, payload):
+        return sender not in self.targets or (receiver + rnd) % self.rotation != 0
 
 
 class CoinBiaser(AdversaryStrategy):

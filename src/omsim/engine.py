@@ -22,7 +22,6 @@ import gc
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import count
 from operator import itemgetter
 
 
@@ -121,27 +120,19 @@ class Message:
 
 
 @dataclass
-class AdversaryAction:
-    corrupt: frozenset = frozenset()
-    omit: frozenset = frozenset()  # indices into the observed pending list
-
-
-@dataclass
 class AdversaryObservation:
-    """Full-information snapshot handed to adversary hooks.
+    """Full-information snapshot handed to `corruptions`.
 
-    Exposes everything that exists at call time: states, this round's drawn
-    bits, pending message contents.  Randomness not yet drawn does not exist
-    anywhere in the engine, so it cannot leak here.  `states` holds the live
-    ProtoStates (read only); the trade-off inner runs' own are not shown.
+    Exposes everything that exists at call time: states and this round's
+    drawn bits.  Randomness not yet drawn does not exist anywhere in the
+    engine, so it cannot leak here.  `states` holds the live ProtoStates
+    (read only); the trade-off inner runs' own are not shown.
     """
     round: int
-    phase: str                # "send" or "deliver"
     n: int = 0
     t: int = 0
     states: dict = field(default_factory=dict)      # pid -> live ProtoState
     drawn_bits: dict = field(default_factory=dict)  # pid -> list of values drawn this round
-    pending: tuple = ()                             # Message tuple (general path)
     corrupted: frozenset = frozenset()
     epoch_boundaries: tuple = ()                    # the protocol's epoch-ending rounds
 
@@ -149,16 +140,15 @@ class AdversaryObservation:
 class AdversaryStrategy:
     """Base strategy: corrupts nothing, omits nothing.
 
-    The hooks compose. Each round the engine takes the corruptions, then
-    omits every message to or from a process in `silenced(corrupted)`,
-    which is handed the engine's corrupted set. `send_filter(rnd, sender,
-    receiver)` then keeps or drops each remaining message of a corrupted
-    sender, one link at a time, so how a protocol groups its sends into
-    entries does not matter. If the class overrides decide(), its "send"
-    and "deliver" hooks then see each message those kept, and may corrupt
-    and omit more: the only way to drop one message to a corrupted
-    receiver. decide() and send_filter() are called only where the class
-    overrides them; every hook's legality is enforced.
+    The hooks compose. Each round, after the local phase, the engine takes
+    `corruptions(obs)`, then omits every message to or from a process in
+    `silenced(corrupted)`, which is handed the engine's corrupted set.
+    `link_filter(rnd, sender, receiver, payload)` then keeps or drops each
+    remaining message with a corrupted endpoint, in either direction, one
+    link at a time in receiver order, so how a protocol groups its sends
+    into entries does not matter. It is never asked about a link between
+    two honest processes, so it cannot omit one, and it is called only
+    where the class overrides it; every hook's legality is enforced.
     """
 
     name = "none"
@@ -173,51 +163,22 @@ class AdversaryStrategy:
     def silenced(self, corrupted):
         return frozenset()
 
-    def send_filter(self, rnd, sender, receiver):
+    def link_filter(self, rnd, sender, receiver, payload):
         return True
 
-    def decide(self, obs):
-        return AdversaryAction()
 
-
-def adversary_view(engine, phase, pending=()):
+def adversary_view(engine):
     """Project the engine state into an observation. Pure: calling twice in
-    the same phase yields equal observations."""
+    the same round yields equal observations."""
     return AdversaryObservation(
         round=engine.round,
-        phase=phase,
         n=engine.config.n,
         t=engine.config.t,
         states=dict(enumerate(engine.states, start=1)),
         drawn_bits={p: list(v) for p, v in engine.drawn_this_round.items()},
-        pending=tuple(pending),
         corrupted=frozenset(engine.trace.corrupted),
         epoch_boundaries=engine.protocol.epoch_boundaries,
     )
-
-
-def apply_adversary_action(action, pending, corrupted, t):
-    """Validate an action and split pending into delivered / omitted.
-
-    Raises AdversaryViolation instead of clamping: exceeding the corruption
-    budget or omitting a message between two never-corrupted processes is a
-    strategy bug, not something to paper over.
-    """
-    new_corrupted = set(corrupted) | set(action.corrupt)
-    if len(new_corrupted) > t:
-        raise AdversaryViolation(
-            "corruption budget exceeded: %d > t=%d" % (len(new_corrupted), t))
-    omit = set(action.omit)
-    for i in omit:
-        if i < 0 or i >= len(pending):
-            raise AdversaryViolation("omit index %d out of range" % i)
-        m = pending[i]
-        if m.sender not in new_corrupted and m.receiver not in new_corrupted:
-            raise AdversaryViolation(
-                "omitted message %d..%d touches no corrupted endpoint" % (m.sender, m.receiver))
-    delivered = [m for i, m in enumerate(pending) if i not in omit]
-    omitted = [pending[i] for i in sorted(omit)]
-    return delivered, omitted, new_corrupted
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +319,10 @@ class Engine:
         n, t = cfg.n, cfg.t
         strategy = self.adversary
         strategy.start(cfg, self.protocol)
-        # the interface a strategy uses is the one its class overrides; look
-        # the methods up now, as a wrapper may have replaced the base's
-        cls = type(strategy)
-        general = cls.decide is not AdversaryStrategy.decide
-        send_filter = (strategy.send_filter
-                       if cls.send_filter is not AdversaryStrategy.send_filter else None)
+        # the link filter is asked only where the class overrides it
+        link_filter = (strategy.link_filter
+                       if type(strategy).link_filter is not AdversaryStrategy.link_filter
+                       else None)
         # each process's `others` slices one tuple of pids, so all share its
         # ints; built on first use (Context.others), as not every run reads it
         pids = self.pids = tuple(range(1, n + 1))
@@ -405,7 +364,7 @@ class Engine:
 
             # --- adversary: corruption step ------------------------------
             rec = RoundRecord(index=rnd)
-            obs = adversary_view(self, "send") if strategy.needs_observation else None
+            obs = adversary_view(self) if strategy.needs_observation else None
             self._absorb_corruptions(strategy.corruptions(obs), rec)
             sil = strategy.silenced(corrupted.keys())
             if sil != silenced:
@@ -414,10 +373,7 @@ class Engine:
                 silenced = sil
 
             # --- communication phase -------------------------------------
-            if general:
-                self._deliver_general(outbox, inbox, gens, rec, silenced, send_filter)
-            else:
-                self._deliver_fast(outbox, inbox, gens, rec, silenced, send_filter)
+            self._deliver_fast(outbox, inbox, gens, rec, silenced, link_filter)
 
             draws = self.drawn_this_round
             rec.rand_accesses = sum(map(len, draws.values()))
@@ -437,43 +393,40 @@ class Engine:
                 raise LivenessFailure("non-faulty process %d ended undecided" % p)
         return dict(sorted(decisions.items())), self.trace
 
-    # Both delivery methods end in _transmit and differ only in where each
-    # entry's kept receivers come from: the batch hooks, and for the general
-    # one then decide()'s two hooks over one Message per receiver kept so
-    # far. Neither calls the other, so a wrapper around each sees a round once.
-    def _deliver_fast(self, outbox, inbox, gens, rec, silenced, send_filter):
-        self._transmit(outbox, self._batch_kept(outbox, silenced, send_filter),
+    def _deliver_fast(self, outbox, inbox, gens, rec, silenced, link_filter):
+        self._transmit(outbox, self._batch_kept(outbox, silenced, link_filter),
                        inbox, gens, rec, silenced)
 
-    def _deliver_general(self, outbox, inbox, gens, rec, silenced, send_filter):
-        kept = list(self._batch_kept(outbox, silenced, send_filter))
-        for phase in ("send", "deliver"):
-            pending = [Message(sender, q, payload, b)
-                       for (sender, _, payload, b), ks in zip(outbox, kept) for q in ks]
-            action = self.adversary.decide(adversary_view(self, phase, pending))
-            # raises on an illegal action; the omit indices are positions in
-            # pending, which lists the kept receivers entry by entry
-            apply_adversary_action(action, pending, self.trace.corrupted, self.config.t)
-            self._absorb_corruptions(action.corrupt, rec)
-            pos = count()
-            kept = [[q for q in ks if next(pos) not in action.omit] for ks in kept]
-        self._transmit(outbox, kept, inbox, gens, rec, silenced)
+    # exists only for perfbench/tracing.py, which wraps a method of each
+    # name; the engine calls _deliver_fast alone, so a round is tallied
+    # once. It goes when the tracer wraps functions where they are defined
+    # (ROADMAP item 4).
+    _deliver_general = _deliver_fast
 
-    def _batch_kept(self, outbox, silenced, send_filter):
-        """Each entry's receivers that the batch hooks keep: none of a
-        silenced sender's, those of a corrupted sender's that the send
-        filter keeps link by link, and never a silenced receiver."""
-        if not silenced and send_filter is None:
+    def _batch_kept(self, outbox, silenced, link_filter):
+        """Each entry's receivers that the hooks keep: none of a silenced
+        sender's, never a silenced receiver, and of the rest's links with
+        a corrupted endpoint those the link filter keeps, in receiver
+        order."""
+        if not silenced and link_filter is None:
             return map(itemgetter(1), outbox)
-        corrupted = self.trace.corrupted
+        faulty = set(self.trace.corrupted)
         rnd = self.round
         out = []
-        for sender, receivers, _, _ in outbox:
+        for sender, receivers, payload, _ in outbox:
             kept = () if sender in silenced else receivers
-            if kept and send_filter is not None and sender in corrupted:
-                kept = [q for q in receivers if send_filter(rnd, sender, q)]
             if silenced and not silenced.isdisjoint(kept):
                 kept = [q for q in kept if q not in silenced]
+            if link_filter is not None and kept:
+                if sender in faulty:
+                    kept = [q for q in kept if link_filter(rnd, sender, q, payload)]
+                elif not faulty.isdisjoint(kept):
+                    # an honest sender's links into corrupted receivers; a
+                    # set finds them in C, as most entries reach none
+                    asked = sorted(faulty.intersection(kept), key=kept.index)
+                    dropped = [q for q in asked if not link_filter(rnd, sender, q, payload)]
+                    if dropped:
+                        kept = [q for q in kept if q not in dropped]
             out.append(kept)
         return out
 

@@ -92,6 +92,9 @@ def resolve_inputs(spec, n):
 def make_protocol(config, protocol="main", x=1):
     if not isinstance(protocol, str) or protocol not in PROTOCOLS:
         raise ConfigError("unknown protocol %r" % (protocol,))
+    if protocol != "tradeoff" and x != 1:
+        raise ConfigError("x sets the trade-off's super-processes; protocol %s "
+                          "takes only x=1, got %r" % (protocol, x))
     return PROTOCOLS[protocol](config, x)
 
 

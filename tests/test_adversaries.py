@@ -4,12 +4,11 @@ from omsim.adversaries import (
     CoinBiaser, CrashAsOmission, Eclipse, ScheduleExceedsBudget, load_schedule,
 )
 from omsim.consensus import MainConsensus
-from omsim.engine import (
-    AdversaryAction, AdversaryStrategy, SystemConfig, run_execution,
-)
+from omsim.engine import AdversaryStrategy, SystemConfig, run_execution
 from omsim.groups import Instance
 from omsim.params import scaled
 
+from test_engine import run_reference
 from test_groups import OneEpoch
 
 
@@ -128,7 +127,8 @@ def test_coin_biaser_mixed_inputs_still_decide():
 
 
 class GeneralCrash(AdversaryStrategy):
-    """Per-message replica of CrashAsOmission on the general hook path."""
+    """Per-link replica of CrashAsOmission: drops every link of a crashed
+    process through the link filter, with nothing silenced."""
     name = "crash-general"
 
     def __init__(self, schedule):
@@ -136,59 +136,56 @@ class GeneralCrash(AdversaryStrategy):
         self.crashed = set()
         self._round = 0
 
-    def decide(self, obs):
-        if obs.phase == "send":
-            self._round += 1
-            due = self.schedule.get(self._round, frozenset())
-            self.crashed |= set(due)
-            omit = frozenset(i for i, m in enumerate(obs.pending)
-                             if m.sender in self.crashed or m.receiver in self.crashed)
-            return AdversaryAction(corrupt=frozenset(due), omit=omit)
-        omit = frozenset(i for i, m in enumerate(obs.pending)
-                         if m.sender in self.crashed or m.receiver in self.crashed)
-        return AdversaryAction(omit=omit)
+    def corruptions(self, obs):
+        self._round += 1
+        due = self.schedule.get(self._round, frozenset())
+        self.crashed |= due
+        return due
+
+    def link_filter(self, rnd, sender, receiver, payload):
+        return sender not in self.crashed and receiver not in self.crashed
+
+
+def run_all_three(shipped, general):
+    """The engine under a shipped strategy and under its per-link replica,
+    and the reference delivery step under the replica: three whole
+    record_level=1 traces that must agree."""
+    inputs = tuple(1 if i % 3 else 0 for i in range(32))
+    runs = [run_main(32, 1, inputs, seed=8, adversary=shipped, record_level=1),
+            run_main(32, 1, inputs, seed=8, adversary=general(), record_level=1)]
+    cfg = SystemConfig(n=32, t=1, seed=8, inputs=inputs, params=scaled())
+    runs.append(run_reference(cfg, MainConsensus, general(), record_level=1))
+    for dec, trace, m in runs[1:]:
+        assert dec == runs[0][0]
+        assert (m.comm_bits, m.omitted_msgs) == (runs[0][2].comm_bits, runs[0][2].omitted_msgs)
+        assert [repr(r) for r in trace.rounds] == [repr(r) for r in runs[0][1].rounds]
+    return runs[0]
 
 
 def test_fast_and_general_crash_paths_agree():
-    inputs = tuple(1 if i % 3 else 0 for i in range(32))
     sched = {2: frozenset({5})}
-    a = run_main(32, 1, inputs, seed=8,
-                 adversary=CrashAsOmission(sched), record_level=1)
-    b = run_main(32, 1, inputs, seed=8,
-                 adversary=GeneralCrash(dict(sched)), record_level=1)
-    assert a[0] == b[0]
-    assert a[2].comm_bits == b[2].comm_bits
-    assert a[2].omitted_msgs == b[2].omitted_msgs
-    assert [repr(r) for r in a[1].rounds] == [repr(r) for r in b[1].rounds]
+    _, trace, m = run_all_three(CrashAsOmission(sched), lambda: GeneralCrash(dict(sched)))
+    assert m.omitted_msgs > 0 and trace.corrupted == {5: 2}
 
 
 class GeneralEclipse(AdversaryStrategy):
-    """Per-message replica of Eclipse on the general hook path: corrupts the
-    targets in round 1 and drops a target's message to q in round r iff
-    (q + r) % rotation == 0."""
+    """Per-link replica of Eclipse: corrupts the targets in round 1 (naming
+    them again later corrupts no one new) and drops a target's message to q
+    in round r iff (q + r) % rotation == 0."""
     name = "eclipse-general"
 
     def __init__(self, targets, rotation):
         self.targets = frozenset(targets)
         self.rotation = rotation
 
-    def decide(self, obs):
-        if obs.phase == "deliver":
-            return AdversaryAction()
-        omit = frozenset(i for i, m in enumerate(obs.pending)
-                         if m.sender in self.targets
-                         and (m.receiver + obs.round) % self.rotation == 0)
-        return AdversaryAction(corrupt=self.targets if obs.round == 1 else frozenset(),
-                               omit=omit)
+    def corruptions(self, obs):
+        return self.targets
+
+    def link_filter(self, rnd, sender, receiver, payload):
+        return not (sender in self.targets and (receiver + rnd) % self.rotation == 0)
 
 
 @pytest.mark.parametrize("rotation", [2, 3])
 def test_fast_and_general_eclipse_paths_agree(rotation):
-    inputs = tuple(1 if i % 3 else 0 for i in range(32))
-    reference = run_main(32, 1, inputs, seed=8,
-                         adversary=GeneralEclipse({5}, rotation), record_level=1)
-    fast = run_main(32, 1, inputs, seed=8,
-                    adversary=Eclipse({5}, rotation), record_level=1)
-    assert fast[2].omitted_msgs > 0
-    assert fast[0] == reference[0]
-    assert [repr(r) for r in fast[1].rounds] == [repr(r) for r in reference[1].rounds]
+    _, _, m = run_all_three(Eclipse({5}, rotation), lambda: GeneralEclipse({5}, rotation))
+    assert m.omitted_msgs > 0

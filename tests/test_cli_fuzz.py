@@ -23,6 +23,9 @@ def run_argv(draw):
     if draw(st.booleans()):
         x = draw(st.integers(-1, n + 1) if bad() else st.integers(1, min(n, 8)))
         argv += ["--protocol", "tradeoff", "--x", str(x)]
+    elif draw(st.booleans()):
+        # x means something only for the trade-off; main takes x=1 alone
+        argv += ["--x=%d" % draw(st.integers(-1, 3) if bad() else st.just(1))]
     adversary = draw(st.sampled_from(["none", "crash", "eclipse", "coin-biaser"]))
     argv += ["--adversary", adversary]
     if adversary == "eclipse" and t and draw(st.booleans()):
@@ -54,3 +57,5 @@ def test_cli_run_any_argv_exits_cleanly(argv):
     assert "Traceback" not in res.output
     if res.exit_code:
         assert len(res.stderr.strip().splitlines()) == 1, (argv, res.stderr)
+    if any(a.startswith("--x=") and a != "--x=1" for a in argv):
+        assert res.exit_code == 2, argv

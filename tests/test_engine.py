@@ -10,12 +10,12 @@ import pytest
 import omsim
 from omsim.adversaries import Eclipse
 from omsim.engine import (
-    Engine, SystemConfig, Message, AdversaryStrategy, AdversaryAction,
-    apply_adversary_action, run_execution,
+    Engine, SystemConfig, Message, AdversaryStrategy, run_execution,
     ConfigError, AdversaryViolation, LivenessFailure,
     count_bits, group_index_bits, chain_bits, log2_ceil, isqrt_ceil,
 )
 from omsim.harness import make_adversary, make_protocol, resolve_inputs
+from omsim.metrics import Metrics
 from omsim.params import acceptance
 
 
@@ -111,42 +111,53 @@ def test_ledger_counts_accesses_and_bits():
     assert [r.rand_accesses for r in trace.rounds] == [3, 0]
 
 
-def test_apply_action_empty_is_identity():
-    pending = [Message(1, 2, "x", 1), Message(2, 1, "y", 1)]
-    delivered, omitted, corr = apply_adversary_action(AdversaryAction(), pending, {}, 0)
-    assert delivered == pending and omitted == []
+class ReferenceEngine(Engine):
+    """The engine with an independent delivery step, written the plain way:
+    one Message per receiver, the adversary's predicate on each (no link of
+    a silenced process; a link with a corrupted endpoint only if the link
+    filter keeps it), and the list of kept ones, appended to the inboxes of
+    the receivers still running."""
+
+    def _deliver_fast(self, outbox, inbox, gens, rec, silenced, link_filter):
+        corrupted, rnd, strategy = self.trace.corrupted, self.round, self.adversary
+
+        def keeps(m):
+            if m.sender in silenced or m.receiver in silenced:
+                return False
+            if m.sender in corrupted or m.receiver in corrupted:
+                return strategy.link_filter(rnd, m.sender, m.receiver, m.payload)
+            return True
+
+        pending = [Message(sender, q, payload, b)
+                   for sender, receivers, payload, b in outbox for q in receivers]
+        verdicts = [keeps(m) for m in pending]
+        omitted = [m for m, keep in zip(pending, verdicts) if not keep]
+        rec.sent, rec.bits, rec.omitted = (len(pending), sum(m.bits for m in pending),
+                                           len(omitted))
+        if self.record_level >= 1:
+            rec.messages, rec.omitted_messages = pending, omitted
+        for m, keep in zip(pending, verdicts):
+            if keep and gens[m.receiver] is not None:
+                inbox[m.receiver].append((m.sender, m.payload))
 
 
-def test_apply_action_rejects_illegal_omission():
-    pending = [Message(1, 2, "x", 1)]
-    act = AdversaryAction(omit=frozenset({0}))
-    with pytest.raises(AdversaryViolation):
-        apply_adversary_action(act, pending, {}, 1)
-
-
-def test_apply_action_rejects_budget_overflow():
-    act = AdversaryAction(corrupt=frozenset({1, 2}))
-    with pytest.raises(AdversaryViolation):
-        apply_adversary_action(act, [], {}, 1)
-
-
-def test_apply_action_crash_pattern():
-    pending = [Message(1, 2, "x", 1), Message(1, 3, "x", 1), Message(2, 3, "y", 1)]
-    act = AdversaryAction(corrupt=frozenset({1}), omit=frozenset({0, 1}))
-    delivered, omitted, corr = apply_adversary_action(act, pending, {}, 1)
-    assert [m.receiver for m in delivered] == [3]
-    assert len(omitted) == 2 and corr == {1}
+def run_reference(config, protocol, adversary, record_level=1):
+    """run_execution with the reference delivery step."""
+    protocol = protocol(config) if callable(protocol) else protocol
+    eng = ReferenceEngine(config, protocol, adversary, record_level=record_level)
+    decisions, trace = eng.run()
+    return decisions, trace, Metrics.from_engine(eng)
 
 
 class OmitAllFromOne(AdversaryStrategy):
-    """General-path strategy: corrupts process 1 and drops its messages."""
+    """Corrupts process 1 and drops every message it sends."""
     name = "test-hook"
 
-    def decide(self, obs):
-        omit = frozenset(i for i, m in enumerate(obs.pending) if m.sender == 1)
-        if obs.phase == "send":
-            return AdversaryAction(corrupt=frozenset({1}), omit=omit)
-        return AdversaryAction(omit=omit)
+    def corruptions(self, obs):
+        return (1,)
+
+    def link_filter(self, rnd, sender, receiver, payload):
+        return sender != 1
 
 
 def test_general_hook_path_silences_sender():
@@ -157,10 +168,12 @@ def test_general_hook_path_silences_sender():
     assert m.omitted_msgs == 3
     assert trace.corrupted == {1: 1}
     assert trace.verify(cfg.t)
+    reference = run_reference(cfg, Echo, OmitAllFromOne())
+    assert [repr(r) for r in trace.rounds] == [repr(r) for r in reference[1].rounds]
 
 
 class CorruptSilenceOne(AdversaryStrategy):
-    """Batch-interface strategy: corrupts and silences process 1."""
+    """Corrupts and silences process 1, with no link filter."""
 
     def corruptions(self, obs):
         return (1,)
@@ -170,27 +183,28 @@ class CorruptSilenceOne(AdversaryStrategy):
 
 
 class CorruptSilenceOneDecidingNothing(CorruptSilenceOne):
-    """The same, with a decide() override that adds nothing."""
+    """The same, with a link filter that keeps every link."""
 
-    def decide(self, obs):
-        return AdversaryAction()
+    def link_filter(self, rnd, sender, receiver, payload):
+        return True
 
 
 def test_decide_strategy_keeps_its_silenced_set():
-    # the decide() hooks come on top of the batch hooks, not in their place
+    # the link filter comes on top of the silenced set, not in its place;
+    # and a filter that keeps everything changes nothing
     cfg = SystemConfig(n=4, t=1, seed=5, inputs=(0, 1, 1, 1))
-    batch, general = (run_execution(cfg, Echo, adv, record_level=1)
-                      for adv in (CorruptSilenceOne(), CorruptSilenceOneDecidingNothing()))
-    assert [repr(r) for r in general[1].rounds] == [repr(r) for r in batch[1].rounds]
-    assert general[0] == batch[0]
-    assert general[2].omitted_msgs == 6
-    assert general[0][2][0] == general[0][3][0] == general[0][4][0] == 1
+    plain, filtered = (run_execution(cfg, Echo, adv, record_level=1)
+                       for adv in (CorruptSilenceOne(), CorruptSilenceOneDecidingNothing()))
+    assert [repr(r) for r in filtered[1].rounds] == [repr(r) for r in plain[1].rounds]
+    assert filtered[0] == plain[0]
+    assert filtered[2].omitted_msgs == 6
+    assert filtered[0][2][0] == filtered[0][3][0] == filtered[0][4][0] == 1
 
 
 def test_hook_strategy_budget_enforced():
     class Greedy(OmitAllFromOne):
-        def decide(self, obs):
-            return AdversaryAction(corrupt=frozenset({1, 2}))
+        def corruptions(self, obs):
+            return (1, 2)
 
     cfg = SystemConfig(n=4, t=1, seed=5, inputs=(0, 1, 1, 1))
     with pytest.raises(AdversaryViolation):
@@ -208,8 +222,8 @@ class FilterAll(AdversaryStrategy):
     def corruptions(self, obs):
         return (1,)
 
-    def send_filter(self, rnd, sender, receiver):
-        return self.keep(receiver)
+    def link_filter(self, rnd, sender, receiver, payload):
+        return sender != 1 or self.keep(receiver)
 
 
 def test_send_filter_drops_are_omissions():
@@ -459,7 +473,7 @@ def appended_inboxes(trace, running):
     (lambda: FilterAll(lambda q: q != 2), {}),   # one dropped link: appends
     (AdversaryStrategy, {"unicast": 2}),         # a one-receiver entry: appends
     (AdversaryStrategy, {"early": 4}),
-    (OmitAllFromOne, {}),                        # decide() omissions: appends
+    (OmitAllFromOne, {}),                        # filter omissions: appends
     (CorruptSilenceOneDecidingNothing, {}),
 ])
 def test_board_inboxes_equal_appended_inboxes(adversary, options):
@@ -509,3 +523,82 @@ def test_corrupting_a_pid_outside_1_to_n_is_a_violation():
 
     with pytest.raises(AdversaryViolation, match="outside 1..7"):
         run_execution(SystemConfig(n=7, t=2, seed=5, inputs=(0,) * 7), Echo, OutOfRange())
+
+
+class DropOneIncoming(AdversaryStrategy):
+    """Corrupts 2 and 5 and drops one link into a corrupted receiver: 4's
+    message to 2 in round 2."""
+
+    def corruptions(self, obs):
+        return (2, 5)
+
+    def link_filter(self, rnd, sender, receiver, payload):
+        return (rnd, sender, receiver) != (2, 4, 2)
+
+
+class DropKind(DropOneIncoming):
+    """Corrupts 2 and 5 and drops every "b" message on their links, in both
+    directions."""
+
+    def link_filter(self, rnd, sender, receiver, payload):
+        return payload[0] != "b"
+
+
+class Recording(AdversaryStrategy):
+    """Corrupts 2 in round 1 and 5 in round 2, drops a fixed third of the
+    links it is asked about and notes every question."""
+
+    def start(self, config, protocol):
+        self.asked, self.round = [], 0
+
+    def corruptions(self, obs):
+        self.round += 1
+        return {1: (2,), 2: (5,)}.get(self.round, ())
+
+    def link_filter(self, rnd, sender, receiver, payload):
+        self.asked.append((rnd, sender, receiver, payload))
+        return (sender + receiver + rnd) % 3 != 0
+
+
+def omitted_links(trace):
+    return {(r.index, o.sender, o.receiver, o.payload[0])
+            for r in trace.rounds for o in r.omitted_messages}
+
+
+@pytest.mark.parametrize("adversary, omitted", [
+    (DropOneIncoming, {(2, 4, 2, "a")}),
+    (DropKind, {(2, s, q, "b") for s in (1, 3, 5, 7) for q in range(1, 8)
+                if s != q and {s, q} & {2, 5}}),
+    (Recording, None),
+    (OmitAllFromOne, {(r, 1, q, "a") for r in (1, 2, 3) for q in range(2, 8)}
+     | {(2, 1, q, "b") for q in range(2, 8)}),
+    (lambda: Eclipse({2, 5}, 3), None),
+    (SilenceTwoAndFive, None),
+])
+def test_link_filter_matches_reference(adversary, omitted):
+    cfg = SystemConfig(n=7, t=2, seed=5, inputs=(0,) * 7)
+    runs = []
+    for run in (run_execution, run_reference):
+        protocol = AllToAll(cfg, unicast=2)
+        _, trace, m = run(cfg, protocol, adversary(), record_level=1)
+        assert m.revalidate(trace) and trace.verify(cfg.t)
+        runs.append(([repr(r) for r in trace.rounds], protocol.inboxes))
+    assert runs[0] == runs[1]
+    if omitted is not None:
+        assert omitted_links(trace) == omitted
+
+
+def test_link_filter_is_asked_about_faulty_links_only():
+    cfg = SystemConfig(n=7, t=2, seed=5, inputs=(0,) * 7)
+    engine, reference = Recording(), Recording()
+    run_execution(cfg, AllToAll(cfg, unicast=2), engine)
+    run_reference(cfg, AllToAll(cfg, unicast=2), reference)
+    # the same questions in the same order: incoming links too, honest never
+    assert engine.asked == reference.asked
+    asked = {(rnd, s, q) for rnd, s, q, _ in engine.asked}
+    faulty = {1: {2}, 2: {2, 5}, 3: {2, 5}}
+    assert asked == {(rnd, s, q) for rnd in (1, 2, 3) for s in range(1, 8)
+                     for q in range(1, 8) if s != q and faulty[rnd] & {s, q}}
+    # and each question carries its message's payload, of either kind
+    assert all(p in (("a", s, rnd), ("b", s)) for rnd, s, _, p in engine.asked)
+    assert {p[0] for _, _, _, p in engine.asked} == {"a", "b"}

@@ -206,12 +206,14 @@ def test_cli_coin_game_over_budget_exit_2():
     ["graph-check", "-n", "40", "--seed", "-5"],
     ["coin-game", "--mode", "mc", "--seed", "-1"],
     ["coin-game", "--anti-concentration", "--seed", "-1"],
+    ["run", "-n", "31", "-t", "1", "--x", "3"],
+    ["run", "-n", "31", "-t", "1", "--protocol", "main", "--x=-1"],
 ])
 def test_cli_bad_numeric_inputs_exit_2(args):
     assert_config_exit(CliRunner().invoke(cli_main, args))
 
 
-@pytest.mark.parametrize("protocol", [[], ["--protocol", "tradeoff", "--x", "2"]])
+@pytest.mark.parametrize("protocol", [[], ["--protocol", "tradeoff", "--x", "2"], ["--x", "1"]])
 def test_cli_run_negative_seed_exits_0(protocol):
     # the overlay masks its graph seed, so any run seed makes a graph
     res = CliRunner().invoke(cli_main, ["run", "-n", "62", "-t", "1", "--seed", "-5"]
@@ -309,6 +311,8 @@ CRASH = {"n": 31, "t": 1, "adversary": "crash"}
     ({"n": 31, "t": 1, "seeds": []}, "\"seeds\" must be a count or a list of integers"),
     ({"n": 31, "t": 1, "record_level": 5}, "record_level must be 0, 1 or 2"),
     ({"n": 31, "t": 1, "record_level": -1}, "record_level must be 0, 1 or 2"),
+    ({"n": 31, "t": 1, "x": 3}, "ConfigError: x sets the trade-off's super-processes"),
+    ({"n": 31, "t": 1, "protocol": "main", "x": 0}, "ConfigError: x sets the trade-off's"),
 ])
 def test_run_sweep_bad_value_type_is_that_cells_error(tmp_path, bad_cell, message):
     plan = {"cells": [bad_cell, {"n": 31, "t": 1, "seeds": 1}]}
@@ -322,3 +326,9 @@ def test_run_sweep_bad_value_type_is_that_cells_error(tmp_path, bad_cell, messag
     assert res.exit_code == 2, res.output
     assert len(res.stdout.splitlines()) == 2
     assert res.stderr.strip() == "1 cells errored"
+
+
+def test_x_1_with_main_is_accepted():
+    # x=1 is the default, and a plan may spell it out for every main cell
+    [rec] = run_sweep({"cells": [{"n": 31, "t": 1, "protocol": "main", "x": 1}]})
+    assert "error" not in rec and rec["x"] is None

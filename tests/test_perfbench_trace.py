@@ -40,15 +40,17 @@ def test_traced_records_equal_untraced_and_tallies_match():
     assert tracer.calls["engine.run"] == 2
 
 
-def test_general_path_round_is_tallied_once():
-    # the tracer tallies the outbox at each delivery method; a round counted
-    # by both would read twice its messages
+def test_filtered_round_is_tallied_once():
+    # the tracer wraps both delivery names and tallies the outbox in each
+    # wrapper; the engine calls one, so a round with link-filter drops is
+    # counted once
     cfg = SystemConfig(n=4, t=1, seed=5, inputs=(0, 1, 1, 1))
     tracer = tracing.Tracer()
     originals = tracing.install(tracer)
     try:
-        _, _, m = run_execution(cfg, Echo, OmitAllFromOne())
+        _, trace, m = run_execution(cfg, Echo, OmitAllFromOne())
     finally:
         tracing.uninstall(originals)
-    assert m.sent_msgs == 12
+    assert m.sent_msgs == 12 and m.omitted_msgs == 3
     assert sum(tracer.msgs.values()) == m.sent_msgs
+    assert tracer.calls["engine.deliver"] == len(trace.rounds)
