@@ -1,11 +1,12 @@
 """Adversary strategies for experiments and stress tests.
 
-Each strategy uses the engine's one adversary interface: `corruptions`,
-then `silenced` (every link of a silenced process is dropped), then
-`link_filter`, asked about each remaining link with a corrupted endpoint,
-in either direction. Legality is still enforced by the engine.
-Each strategy is deterministic given its observation stream, so a rerun
-with the same seed reproduces the trace bit for bit.
+Each strategy uses the engine's three hooks: `start` checks the strategy
+against the run, `corruptions` reads the round from the engine's view, and
+`link_filter` keeps or drops each link with a corrupted endpoint, in
+either direction. Crash and coin-biaser keep the default filter, which
+drops every such link. Legality is still enforced by the engine. No
+strategy keeps state between rounds, so one object can be reused, and a
+rerun with the same seed reproduces the trace bit for bit.
 """
 
 from .engine import AdversaryStrategy, ConfigError
@@ -30,7 +31,6 @@ class CrashAsOmission(AdversaryStrategy):
     def __init__(self, schedule):
         # schedule: round -> iterable of pids
         self.schedule = {r: frozenset(ps) for r, ps in schedule.items() if ps}
-        self._round = 0
 
     def start(self, config, protocol):
         total = set()
@@ -40,14 +40,9 @@ class CrashAsOmission(AdversaryStrategy):
         if len(total) > config.t:
             raise ScheduleExceedsBudget(
                 "schedule crashes %d > t=%d processes" % (len(total), config.t))
-        self._round = 0
 
     def corruptions(self, obs):
-        self._round += 1  # called exactly once per round
-        return self.schedule.get(self._round, ())
-
-    def silenced(self, corrupted):
-        return frozenset(corrupted)
+        return self.schedule.get(obs.round, ())
 
 
 def load_schedule(text):
@@ -77,20 +72,15 @@ class Eclipse(AdversaryStrategy):
             raise ConfigError("rotation must be >= 1")
         self.targets = frozenset(targets)
         self.rotation = rotation
-        self._fired = False
 
     def start(self, config, protocol):
         check_pids(self.targets, config.n)
         if len(self.targets) > config.t:
             raise ScheduleExceedsBudget(
                 "%d targets > t=%d" % (len(self.targets), config.t))
-        self._fired = False
 
     def corruptions(self, obs):
-        if self._fired:
-            return ()
-        self._fired = True
-        return self.targets
+        return self.targets if obs.round == 1 else ()
 
     def link_filter(self, rnd, sender, receiver, payload):
         return sender not in self.targets or (receiver + rnd) % self.rotation != 0
@@ -100,14 +90,14 @@ class CoinBiaser(AdversaryStrategy):
     """Full-information stress adversary pushing votes toward `direction`.
 
     Whenever it sees random bits drawn (the vote updates at epoch ends), it
-    greedily corrupts-and-silences processes whose fresh draw went the
-    wrong way, rationing the corruption budget evenly over the remaining
-    draw rounds. A practical stand-in for the hiding adversary of the
-    impossibility argument, which would need a sup over all continuations.
+    greedily corrupts processes whose fresh draw went the wrong way, which
+    the default filter then cuts off, rationing the corruption budget
+    evenly over the remaining draw rounds. A practical stand-in for the
+    hiding adversary of the impossibility argument, which would need a sup
+    over all continuations.
     """
 
     name = "coin-biaser"
-    needs_observation = True
 
     def __init__(self, direction):
         if direction not in (0, 1):
@@ -127,6 +117,3 @@ class CoinBiaser(AdversaryStrategy):
         remaining = sum(1 for b in obs.epoch_boundaries if b + 1 >= obs.round)
         quota = budget // max(1, remaining)
         return frozenset(candidates[:quota])
-
-    def silenced(self, corrupted):
-        return frozenset(corrupted)

@@ -91,7 +91,7 @@ def run(n, t, seed, protocol, x, adversary, schedule, targets, rotation,
         if schedule:
             with open(schedule) as fh:
                 opts["schedule"] = load_schedule(fh.read())
-        if targets:
+        if targets is not None:
             opts["targets"] = tuple(int(p) for p in targets.split(","))
     except ValueError as e:
         raise ConfigError("--schedule and --targets take integer pids: %s" % e)

@@ -22,8 +22,9 @@ class DegenerateInput(Exception):
 
 
 def checked_constants(config, bound_name):
-    """The run's constants, once t < n / (the fault bound named) and the
-    voting gap hold; raises ConfigError otherwise."""
+    """The run's constants, once t < n / (the fault bound named), the
+    voting gap and the thresholds' order hold; raises ConfigError
+    otherwise."""
     constants = config.params if config.params is not None else Constants()
     n, t = config.n, config.t
     bound = getattr(constants, bound_name)
@@ -34,6 +35,13 @@ def checked_constants(config, bound_name):
         raise ConfigError(
             "voting gap set_one - set_zero must cover 3t/n, got %s - %s at t=%d n=%d"
             % (constants.set_one, constants.set_zero, t, n))
+    lo, zero, one, hi = (constants.decide_lo, constants.set_zero,
+                         constants.set_one, constants.decide_hi)
+    # a ones-share in the coin band must not count as decided
+    if lo[0] * zero[1] > zero[0] * lo[1] or one[0] * hi[1] > hi[0] * one[1]:
+        raise ConfigError(
+            "vote thresholds need decide_lo <= set_zero and set_one <= decide_hi, "
+            "got %s, %s, %s, %s" % (lo, zero, one, hi))
     return constants
 
 

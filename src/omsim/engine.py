@@ -21,7 +21,7 @@ priced by the canonical encoding table (see `count_bits` and friends).
 import gc
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 
@@ -121,38 +121,38 @@ class Message:
 
 @dataclass
 class AdversaryObservation:
-    """Full-information snapshot handed to `corruptions`.
+    """Full-information view of a round, handed to `corruptions`.
 
     Exposes everything that exists at call time: states and this round's
     drawn bits.  Randomness not yet drawn does not exist anywhere in the
-    engine, so it cannot leak here.  `states` holds the live ProtoStates
-    (read only); the trade-off inner runs' own are not shown.
+    engine, so it cannot leak here.  The view shares the engine's own
+    objects rather than copying them, so strategies must only read them;
+    the trade-off inner runs' states are not shown.
     """
     round: int
-    n: int = 0
-    t: int = 0
-    states: dict = field(default_factory=dict)      # pid -> live ProtoState
-    drawn_bits: dict = field(default_factory=dict)  # pid -> list of values drawn this round
-    corrupted: frozenset = frozenset()
-    epoch_boundaries: tuple = ()                    # the protocol's epoch-ending rounds
+    n: int
+    t: int
+    states: list            # the live ProtoStates, pid p at index p - 1
+    drawn_bits: dict        # pid -> list of values drawn this round
+    corrupted: frozenset    # every pid corrupted before this round's step
+    epoch_boundaries: tuple  # the protocol's epoch-ending rounds
 
 
 class AdversaryStrategy:
-    """Base strategy: corrupts nothing, omits nothing.
+    """Base strategy: corrupts nothing, and drops every link of a process
+    it corrupts.
 
-    The hooks compose. Each round, after the local phase, the engine takes
-    `corruptions(obs)`, then omits every message to or from a process in
-    `silenced(corrupted)`, which is handed the engine's corrupted set.
-    `link_filter(rnd, sender, receiver, payload)` then keeps or drops each
-    remaining message with a corrupted endpoint, in either direction, one
-    link at a time in receiver order, so how a protocol groups its sends
-    into entries does not matter. It is never asked about a link between
-    two honest processes, so it cannot omit one, and it is called only
-    where the class overrides it; every hook's legality is enforced.
+    Each round, after the local phase, the engine takes `corruptions(obs)`
+    from a view of the round, then asks `link_filter(rnd, sender,
+    receiver, payload)` whether to keep each message with a corrupted
+    endpoint, in either direction, one link at a time in receiver order,
+    so how a protocol groups its sends into entries does not matter. It is
+    never asked about a link between two honest processes, so it cannot
+    omit one. A class that keeps this default filter is never asked: the
+    engine drops every link of the corrupted set at once.
     """
 
     name = "none"
-    needs_observation = False  # True -> full states/bits view for corruptions()
 
     def start(self, config, protocol):
         pass
@@ -160,23 +160,20 @@ class AdversaryStrategy:
     def corruptions(self, obs):
         return ()
 
-    def silenced(self, corrupted):
-        return frozenset()
-
     def link_filter(self, rnd, sender, receiver, payload):
-        return True
+        return False
 
 
 def adversary_view(engine):
-    """Project the engine state into an observation. Pure: calling twice in
-    the same round yields equal observations."""
+    """The round as the adversary sees it, built in constant time: it shares
+    the engine's states list, draws dict and corrupted set, not copies."""
     return AdversaryObservation(
         round=engine.round,
         n=engine.config.n,
         t=engine.config.t,
-        states=dict(enumerate(engine.states, start=1)),
-        drawn_bits={p: list(v) for p, v in engine.drawn_this_round.items()},
-        corrupted=frozenset(engine.trace.corrupted),
+        states=engine.states,
+        drawn_bits=engine.drawn_this_round,
+        corrupted=engine.faulty,
         epoch_boundaries=engine.protocol.epoch_boundaries,
     )
 
@@ -302,6 +299,9 @@ class Engine:
         self.outbox = []
         self.drawn_this_round = {}
         self.trace = ExecutionTrace()
+        # the corrupted pids, rebuilt in a round that corrupts anyone; the
+        # adversary's view and the default filter share it
+        self.faulty = frozenset()
 
     def run(self):
         # refcounting frees all a run drops (see _rounds), so the cyclic
@@ -319,7 +319,8 @@ class Engine:
         n, t = cfg.n, cfg.t
         strategy = self.adversary
         strategy.start(cfg, self.protocol)
-        # the link filter is asked only where the class overrides it
+        # the link filter is asked only where the class overrides it; the
+        # default drops every link of a corrupted process, as one set
         link_filter = (strategy.link_filter
                        if type(strategy).link_filter is not AdversaryStrategy.link_filter
                        else None)
@@ -337,7 +338,6 @@ class Engine:
         inbox = [None] * (n + 1)  # sending None into a new generator starts it
         max_rounds = self.protocol.closed_form_T + t + 8
         corrupted = self.trace.corrupted
-        silenced = frozenset()
 
         # the run ends when every never-corrupted process has finished
         # (corrupted ones may legitimately starve)
@@ -364,16 +364,11 @@ class Engine:
 
             # --- adversary: corruption step ------------------------------
             rec = RoundRecord(index=rnd)
-            obs = adversary_view(self) if strategy.needs_observation else None
-            self._absorb_corruptions(strategy.corruptions(obs), rec)
-            sil = strategy.silenced(corrupted.keys())
-            if sil != silenced:
-                if not sil <= corrupted.keys():
-                    raise AdversaryViolation("silenced set contains non-corrupted process")
-                silenced = sil
+            self._absorb_corruptions(strategy.corruptions(adversary_view(self)), rec)
 
             # --- communication phase -------------------------------------
-            self._deliver_fast(outbox, inbox, gens, rec, silenced, link_filter)
+            self._deliver_fast(outbox, inbox, gens, rec,
+                               self.faulty if link_filter is None else (), link_filter)
 
             draws = self.drawn_this_round
             rec.rand_accesses = sum(map(len, draws.values()))
@@ -393,9 +388,9 @@ class Engine:
                 raise LivenessFailure("non-faulty process %d ended undecided" % p)
         return dict(sorted(decisions.items())), self.trace
 
-    def _deliver_fast(self, outbox, inbox, gens, rec, silenced, link_filter):
-        self._transmit(outbox, self._batch_kept(outbox, silenced, link_filter),
-                       inbox, gens, rec, silenced)
+    def _deliver_fast(self, outbox, inbox, gens, rec, cut_off, link_filter):
+        self._transmit(outbox, self._batch_kept(outbox, link_filter),
+                       inbox, gens, rec, cut_off)
 
     # exists only for perfbench/tracing.py, which wraps a method of each
     # name; the engine calls _deliver_fast alone, so a round is tallied
@@ -403,24 +398,24 @@ class Engine:
     # (ROADMAP item 4).
     _deliver_general = _deliver_fast
 
-    def _batch_kept(self, outbox, silenced, link_filter):
-        """Each entry's receivers that the hooks keep: none of a silenced
-        sender's, never a silenced receiver, and of the rest's links with
-        a corrupted endpoint those the link filter keeps, in receiver
-        order."""
-        if not silenced and link_filter is None:
+    def _batch_kept(self, outbox, link_filter):
+        """Each entry's receivers that the adversary keeps, in receiver
+        order. The default filter keeps no link with a corrupted endpoint;
+        an overriding one is asked about each such link."""
+        faulty = self.faulty
+        if not faulty:
             return map(itemgetter(1), outbox)
-        faulty = set(self.trace.corrupted)
         rnd = self.round
         out = []
         for sender, receivers, payload, _ in outbox:
-            kept = () if sender in silenced else receivers
-            if silenced and not silenced.isdisjoint(kept):
-                kept = [q for q in kept if q not in silenced]
-            if link_filter is not None and kept:
-                if sender in faulty:
-                    kept = [q for q in kept if link_filter(rnd, sender, q, payload)]
-                elif not faulty.isdisjoint(kept):
+            kept = receivers
+            if sender in faulty:
+                kept = (() if link_filter is None else
+                        [q for q in kept if link_filter(rnd, sender, q, payload)])
+            elif not faulty.isdisjoint(kept):
+                if link_filter is None:
+                    kept = [q for q in kept if q not in faulty]
+                else:
                     # an honest sender's links into corrupted receivers; a
                     # set finds them in C, as most entries reach none
                     asked = sorted(faulty.intersection(kept), key=kept.index)
@@ -433,7 +428,7 @@ class Engine:
     # the one delivery accounting step: count every entry's messages, record
     # the omitted ones in receiver order, and fill the inboxes with the kept
     # ones; gens[q] is None once q has finished
-    def _transmit(self, outbox, kept, inbox, gens, rec, silenced):
+    def _transmit(self, outbox, kept, inbox, gens, rec, cut_off):
         full = self.record_level >= 1
         if full:
             rec.messages = []
@@ -441,9 +436,9 @@ class Engine:
         sent = bits = omitted = 0
         # once every process has finished nothing is delivered, only counted
         live = any(g is not None for g in gens)
-        others, quiet = self.others, len(silenced)
+        others, quiet = self.others, len(cut_off)
         # While every entry that delivers anything goes to all its sender's
-        # others but the silenced (kept receivers are a subset of those, so
+        # others but those cut off (kept receivers are a subset of those, so
         # the lengths tell), the round is one board of (pair, kept) in outbox
         # order, which is sender order as the local phase runs processes in
         # pid order. Otherwise appends fill the inboxes, pre-bound per
@@ -476,11 +471,11 @@ class Engine:
                 appends[q](pair)
         rec.sent, rec.bits, rec.omitted = sent, bits, omitted
         if appends is None and board:
-            # each live, unsilenced receiver gets the board minus its own slice
+            # each live receiver not cut off gets the board minus its own slice
             pairs = [pair for pair, _ in board]
             senders = [s for s, _ in pairs]
             for q, g in enumerate(gens):
-                if g is not None and q not in silenced:
+                if g is not None and q not in cut_off:
                     box = inbox[q] = pairs.copy()
                     del box[bisect_left(senders, q):bisect_right(senders, q)]
 
@@ -497,7 +492,8 @@ class Engine:
                 "corruption budget exceeded at round %d" % self.round)
         for p in newly:
             corrupted[p] = self.round
-        rec.corrupted_new = tuple(rec.corrupted_new) + tuple(newly)
+        self.faulty = frozenset(corrupted)
+        rec.corrupted_new = tuple(newly)
 
 
 def run_execution(config, protocol_factory, adversary=None, record_level=0):

@@ -70,6 +70,40 @@ def test_crash_whole_group_leaves_other_counts_intact():
         assert ones == n - len(crashed) and zeros == 0
 
 
+def test_crash_fires_at_the_rounds_it_names():
+    n, t = 128, 4
+    sched = {2: frozenset({3}), 9: frozenset({5, 70})}
+    dec, trace, m = run_main(n, t, [i % 2 for i in range(n)], seed=2,
+                             adversary=CrashAsOmission(sched), record_level=1)
+    assert trace.corrupted == {3: 2, 5: 9, 70: 9}
+    assert [r.corrupted_new for r in trace.rounds[:9]] == \
+        [(), (3,), (), (), (), (), (), (), (5, 70)]
+    # a crashed process's links are dropped from its crash round on, not before
+    for rec in trace.rounds[:10]:
+        faulty = {p for p, r in trace.corrupted.items() if r <= rec.index}
+        assert {(o.sender, o.receiver) for o in rec.omitted_messages} == \
+            {(msg.sender, msg.receiver) for msg in rec.messages
+             if {msg.sender, msg.receiver} & faulty}
+    assert m.revalidate(trace) and trace.verify(t)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CrashAsOmission({2: {3}, 9: {5}}),
+    lambda: Eclipse({3, 8}, rotation=3),
+    lambda: CoinBiaser(0),
+])
+def test_a_reused_strategy_gives_the_same_record(make):
+    # strategies keep no state between rounds, so nothing needs resetting
+    # between the runs that share one object
+    inputs = [i % 2 for i in range(64)]
+    shared = make()
+    records = [run_main(64, 2, inputs, seed=seed, adversary=adv, record_level=1)
+               for seed, adv in ((0, shared), (1, shared), (0, shared), (1, make()))]
+    reprs = [(dec, [repr(r) for r in trace.rounds], m) for dec, trace, m in records]
+    assert reprs[2] == reprs[0] and reprs[3] == reprs[1]
+    assert all(trace.corrupted for _, trace, _ in records)
+
+
 def test_eclipse_agreement_and_floor():
     n, t = 64, 2
     for seed in range(4):
@@ -128,17 +162,16 @@ def test_coin_biaser_mixed_inputs_still_decide():
 
 class GeneralCrash(AdversaryStrategy):
     """Per-link replica of CrashAsOmission: drops every link of a crashed
-    process through the link filter, with nothing silenced."""
+    process through an overriding link filter, so the engine cuts nothing
+    off as a set."""
     name = "crash-general"
 
     def __init__(self, schedule):
         self.schedule = schedule
         self.crashed = set()
-        self._round = 0
 
     def corruptions(self, obs):
-        self._round += 1
-        due = self.schedule.get(self._round, frozenset())
+        due = self.schedule.get(obs.round, frozenset())
         self.crashed |= due
         return due
 

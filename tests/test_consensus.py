@@ -80,9 +80,6 @@ class SilenceSet(AdversaryStrategy):
     def corruptions(self, obs):
         return self.pids
 
-    def silenced(self, corrupted):
-        return self.pids
-
 
 def test_agreement_and_validity_under_silencing():
     n = 64

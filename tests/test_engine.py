@@ -113,17 +113,16 @@ def test_ledger_counts_accesses_and_bits():
 
 class ReferenceEngine(Engine):
     """The engine with an independent delivery step, written the plain way:
-    one Message per receiver, the adversary's predicate on each (no link of
-    a silenced process; a link with a corrupted endpoint only if the link
-    filter keeps it), and the list of kept ones, appended to the inboxes of
-    the receivers still running."""
+    one Message per receiver, the adversary's predicate on each (a link
+    with a corrupted endpoint only if the strategy's link filter keeps it,
+    asked link by link even where the class keeps the default), and the
+    list of kept ones, appended to the inboxes of the receivers still
+    running."""
 
-    def _deliver_fast(self, outbox, inbox, gens, rec, silenced, link_filter):
+    def _deliver_fast(self, outbox, inbox, gens, rec, cut_off, link_filter):
         corrupted, rnd, strategy = self.trace.corrupted, self.round, self.adversary
 
         def keeps(m):
-            if m.sender in silenced or m.receiver in silenced:
-                return False
             if m.sender in corrupted or m.receiver in corrupted:
                 return strategy.link_filter(rnd, m.sender, m.receiver, m.payload)
             return True
@@ -173,32 +172,43 @@ def test_general_hook_path_silences_sender():
 
 
 class CorruptSilenceOne(AdversaryStrategy):
-    """Corrupts and silences process 1, with no link filter."""
+    """Corrupts process 1 and keeps the default filter, which cuts it off."""
 
     def corruptions(self, obs):
         return (1,)
 
-    def silenced(self, corrupted):
-        return frozenset({1})
+
+class CorruptSilenceOneByFilter(CorruptSilenceOne):
+    """The same, through an overriding filter that drops every link."""
+
+    def link_filter(self, rnd, sender, receiver, payload):
+        return False
 
 
 class CorruptSilenceOneDecidingNothing(CorruptSilenceOne):
-    """The same, with a link filter that keeps every link."""
+    """Corrupts process 1, with a link filter that keeps every link."""
 
     def link_filter(self, rnd, sender, receiver, payload):
         return True
 
 
 def test_decide_strategy_keeps_its_silenced_set():
-    # the link filter comes on top of the silenced set, not in its place;
-    # and a filter that keeps everything changes nothing
+    # the default filter, applied as one set, equals an override that drops
+    # every link and the reference asking about each link
     cfg = SystemConfig(n=4, t=1, seed=5, inputs=(0, 1, 1, 1))
-    plain, filtered = (run_execution(cfg, Echo, adv, record_level=1)
-                       for adv in (CorruptSilenceOne(), CorruptSilenceOneDecidingNothing()))
-    assert [repr(r) for r in filtered[1].rounds] == [repr(r) for r in plain[1].rounds]
-    assert filtered[0] == plain[0]
-    assert filtered[2].omitted_msgs == 6
-    assert filtered[0][2][0] == filtered[0][3][0] == filtered[0][4][0] == 1
+    runs = [run_execution(cfg, Echo, CorruptSilenceOne(), record_level=1),
+            run_execution(cfg, Echo, CorruptSilenceOneByFilter(), record_level=1),
+            run_reference(cfg, Echo, CorruptSilenceOne())]
+    for dec, trace, m in runs:
+        assert [repr(r) for r in trace.rounds] == [repr(r) for r in runs[0][1].rounds]
+        assert dec == runs[0][0] and m.omitted_msgs == 6
+    assert runs[0][0][2][0] == runs[0][0][3][0] == runs[0][0][4][0] == 1
+    # an override that keeps every link cuts nothing off
+    dec, trace, m = run_execution(cfg, Echo, CorruptSilenceOneDecidingNothing(),
+                                  record_level=1)
+    assert trace.corrupted == {1: 1} and m.omitted_msgs == 0
+    assert not any(r.omitted_messages for r in trace.rounds)
+    assert dec[2][0] == dec[3][0] == dec[4][0] == 0
 
 
 def test_hook_strategy_budget_enforced():
@@ -279,16 +289,6 @@ def test_eclipse_omits_the_same_links_however_sends_are_grouped(rotation):
     assert (delivered, omitted) == links(Unicaster)
     assert omitted == {(r, s, q) for r in range(1, 5) for s in (2, 5)
                        for q in range(1, 8) if q != s and (q + r) % rotation == 0}
-
-
-def test_silenced_must_be_corrupted():
-    class Bad(AdversaryStrategy):
-        def silenced(self, corrupted):
-            return frozenset({2})
-
-    cfg = SystemConfig(n=4, t=1, seed=5, inputs=(0, 1, 1, 1))
-    with pytest.raises(AdversaryViolation):
-        run_execution(cfg, Echo, Bad())
 
 
 def test_liveness_failure_on_undecided():
@@ -446,11 +446,10 @@ class AllToAll:
 
 
 class SilenceTwoAndFive(AdversaryStrategy):
+    """Corrupts 2 and 5 and keeps the default filter."""
+
     def corruptions(self, obs):
         return (2, 5)
-
-    def silenced(self, corrupted):
-        return frozenset(corrupted)
 
 
 def appended_inboxes(trace, running):
@@ -549,11 +548,10 @@ class Recording(AdversaryStrategy):
     links it is asked about and notes every question."""
 
     def start(self, config, protocol):
-        self.asked, self.round = [], 0
+        self.asked = []
 
     def corruptions(self, obs):
-        self.round += 1
-        return {1: (2,), 2: (5,)}.get(self.round, ())
+        return {1: (2,), 2: (5,)}.get(obs.round, ())
 
     def link_filter(self, rnd, sender, receiver, payload):
         self.asked.append((rnd, sender, receiver, payload))

@@ -182,9 +182,6 @@ class SilenceSet(AdversaryStrategy):
     def corruptions(self, obs):
         return self.pids
 
-    def silenced(self, corrupted):
-        return self.pids
-
 
 def test_silenced_source_goes_inoperative_and_count_drops():
     inputs = tuple(1 if i % 2 == 1 else 0 for i in range(1, 26))

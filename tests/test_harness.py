@@ -208,6 +208,7 @@ def test_cli_coin_game_over_budget_exit_2():
     ["coin-game", "--anti-concentration", "--seed", "-1"],
     ["run", "-n", "31", "-t", "1", "--x", "3"],
     ["run", "-n", "31", "-t", "1", "--protocol", "main", "--x=-1"],
+    ["run", "-n", "64", "-t", "2", "--adversary", "eclipse", "--targets", ""],
 ])
 def test_cli_bad_numeric_inputs_exit_2(args):
     assert_config_exit(CliRunner().invoke(cli_main, args))
@@ -280,6 +281,36 @@ def test_bad_constant_values_are_config_errors(tmp_path, overrides):
         build_constants(overrides, "scaled")
     assert_config_exit(CliRunner().invoke(cli_main, ["run", "-n", "31", "-t", "1",
                                                      "--config", str(conf)]))
+
+
+# each pair is well formed, so the preset takes it, but the order is not:
+# a ones-share between set_zero and decide_lo (or between decide_hi and
+# set_one) would count as decided while holding a coin flip
+COIN_DECIDES = ({"decide_lo": [20, 30]}, {"decide_hi": [17, 30]})
+
+
+@pytest.mark.parametrize("protocol", [{}, {"protocol": "tradeoff", "x": 4}])
+@pytest.mark.parametrize("overrides", COIN_DECIDES)
+def test_thresholds_that_decide_on_a_coin_exit_2(tmp_path, overrides, protocol):
+    build_constants(overrides, "acceptance")
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps(overrides))
+    flags = [arg for key, value in protocol.items() for arg in ("--" + key, str(value))]
+    res = CliRunner().invoke(cli_main, MAIN_128 + flags + ["--config", str(conf)])
+    assert_config_exit(res)
+    assert "need decide_lo <= set_zero and set_one <= decide_hi" in res.stderr
+    [rec] = run_sweep({"cells": [dict(protocol, n=128, t=1, preset="acceptance",
+                                      constants=overrides)]})
+    assert rec["error"].startswith("ConfigError: vote thresholds need")
+
+
+def test_thresholds_at_the_set_thresholds_are_accepted(tmp_path):
+    # decide_lo = set_zero and decide_hi = set_one meet the order
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps({"decide_lo": [15, 30], "decide_hi": [36, 60]}))
+    res = CliRunner().invoke(cli_main, MAIN_128 + ["--config", str(conf)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["agreement"]
 
 
 ECLIPSE = {"n": 31, "t": 1, "adversary": "eclipse"}

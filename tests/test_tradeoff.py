@@ -76,9 +76,6 @@ class SilenceSet(AdversaryStrategy):
     def corruptions(self, obs):
         return self.pids
 
-    def silenced(self, corrupted):
-        return self.pids
-
 
 def test_silencing_preserves_agreement_and_validity():
     n = 64
