@@ -46,14 +46,20 @@ class CrashAsOmission(AdversaryStrategy):
 
 
 def load_schedule(text):
-    """Parse a crash schedule, one line per round: "round: pid pid ..."."""
+    """Parse a crash schedule, one line per round: "round: pid pid ...".
+    A line without a colon, or a second line for one round, is an error."""
     schedule = {}
     for line in text.strip().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        head, _, rest = line.partition(":")
-        schedule[int(head)] = frozenset(int(x) for x in rest.split())
+        head, colon, rest = line.partition(":")
+        if not colon:
+            raise ConfigError("a crash schedule line is 'round: pid ...', got %r" % line)
+        rnd = int(head)
+        if rnd in schedule:
+            raise ConfigError("crash schedule names round %d twice" % rnd)
+        schedule[rnd] = frozenset(int(x) for x in rest.split())
     return schedule
 
 

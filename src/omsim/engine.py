@@ -22,7 +22,6 @@ import gc
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
 
 
 class ConfigError(Exception):
@@ -321,9 +320,9 @@ class Engine:
         strategy.start(cfg, self.protocol)
         # the link filter is asked only where the class overrides it; the
         # default drops every link of a corrupted process, as one set
-        link_filter = (strategy.link_filter
-                       if type(strategy).link_filter is not AdversaryStrategy.link_filter
-                       else None)
+        self.link_filter = (strategy.link_filter
+                            if type(strategy).link_filter is not AdversaryStrategy.link_filter
+                            else None)
         # each process's `others` slices one tuple of pids, so all share its
         # ints; built on first use (Context.others), as not every run reads it
         pids = self.pids = tuple(range(1, n + 1))
@@ -367,8 +366,7 @@ class Engine:
             self._absorb_corruptions(strategy.corruptions(adversary_view(self)), rec)
 
             # --- communication phase -------------------------------------
-            self._deliver_fast(outbox, inbox, gens, rec,
-                               self.faulty if link_filter is None else (), link_filter)
+            self._deliver_fast(outbox, inbox, gens, rec)
 
             draws = self.drawn_this_round
             rec.rand_accesses = sum(map(len, draws.values()))
@@ -388,47 +386,15 @@ class Engine:
                 raise LivenessFailure("non-faulty process %d ended undecided" % p)
         return dict(sorted(decisions.items())), self.trace
 
-    def _deliver_fast(self, outbox, inbox, gens, rec, cut_off, link_filter):
-        self._transmit(outbox, self._batch_kept(outbox, link_filter),
-                       inbox, gens, rec, cut_off)
-
-    # exists only for perfbench/tracing.py, which wraps a method of each
-    # name; the engine calls _deliver_fast alone, so a round is tallied
-    # once. It goes when the tracer wraps functions where they are defined
-    # (ROADMAP item 4).
-    _deliver_general = _deliver_fast
-
-    def _batch_kept(self, outbox, link_filter):
-        """Each entry's receivers that the adversary keeps, in receiver
-        order. The default filter keeps no link with a corrupted endpoint;
-        an overriding one is asked about each such link."""
-        faulty = self.faulty
-        if not faulty:
-            return map(itemgetter(1), outbox)
-        rnd = self.round
-        out = []
-        for sender, receivers, payload, _ in outbox:
-            kept = receivers
-            if sender in faulty:
-                kept = (() if link_filter is None else
-                        [q for q in kept if link_filter(rnd, sender, q, payload)])
-            elif not faulty.isdisjoint(kept):
-                if link_filter is None:
-                    kept = [q for q in kept if q not in faulty]
-                else:
-                    # an honest sender's links into corrupted receivers; a
-                    # set finds them in C, as most entries reach none
-                    asked = sorted(faulty.intersection(kept), key=kept.index)
-                    dropped = [q for q in asked if not link_filter(rnd, sender, q, payload)]
-                    if dropped:
-                        kept = [q for q in kept if q not in dropped]
-            out.append(kept)
-        return out
-
-    # the one delivery accounting step: count every entry's messages, record
-    # the omitted ones in receiver order, and fill the inboxes with the kept
-    # ones; gens[q] is None once q has finished
-    def _transmit(self, outbox, kept, inbox, gens, rec, cut_off):
+    # the one delivery step: for each entry, in one pass, find the receivers
+    # the adversary keeps, count every message, record the omitted ones in
+    # receiver order and fill the inboxes with the kept ones; gens[q] is None
+    # once q has finished
+    def _deliver_fast(self, outbox, inbox, gens, rec):
+        faulty, link_filter, rnd = self.faulty, self.link_filter, self.round
+        # the default filter cuts off every corrupted process; an overriding
+        # one is asked about each link with a corrupted endpoint instead
+        cut_off = faulty if link_filter is None else ()
         full = self.record_level >= 1
         if full:
             rec.messages = []
@@ -444,18 +410,34 @@ class Engine:
         # pid order. Otherwise appends fill the inboxes, pre-bound per
         # process; a finished process's slot keeps nothing.
         board, appends = [], None
-        for (sender, receivers, payload, b), ks in zip(outbox, kept):
+        for sender, receivers, payload, b in outbox:
             k = len(receivers)
             sent += k
             bits += b * k
             if full:
                 rec.messages.extend(Message(sender, q, payload, b) for q in receivers)
-            if len(ks) != k:
-                omitted += k - len(ks)
-                if full:
-                    keep = set(ks)
-                    rec.omitted_messages.extend(Message(sender, q, payload, b)
-                                                for q in receivers if q not in keep)
+            ks = receivers
+            if faulty:
+                if sender in faulty:
+                    ks = (() if link_filter is None else
+                          [q for q in ks if link_filter(rnd, sender, q, payload)])
+                elif not faulty.isdisjoint(ks):
+                    if link_filter is None:
+                        ks = [q for q in ks if q not in faulty]
+                    else:
+                        # an honest sender's links into corrupted receivers; a
+                        # set finds them in C, as most entries reach none
+                        asked = sorted(faulty.intersection(ks), key=ks.index)
+                        dropped = [q for q in asked
+                                   if not link_filter(rnd, sender, q, payload)]
+                        if dropped:
+                            ks = [q for q in ks if q not in dropped]
+                if len(ks) != k:
+                    omitted += k - len(ks)
+                    if full:
+                        keep = set(ks)
+                        rec.omitted_messages.extend(Message(sender, q, payload, b)
+                                                    for q in receivers if q not in keep)
             if not (live and ks):
                 continue
             pair = (sender, payload)
@@ -478,6 +460,12 @@ class Engine:
                 if g is not None and q not in cut_off:
                     box = inbox[q] = pairs.copy()
                     del box[bisect_left(senders, q):bisect_right(senders, q)]
+
+    # exists only for perfbench/tracing.py, which wraps a method of each
+    # name; the engine calls _deliver_fast alone, so a round is tallied
+    # once. It goes when the tracer wraps functions where they are defined
+    # (ROADMAP item 4).
+    _deliver_general = _deliver_fast
 
     def _absorb_corruptions(self, corrupt, rec):
         corrupted = self.trace.corrupted

@@ -144,8 +144,12 @@ def make_adversary(name, n, t, opts=None):
         if not isinstance(schedule, dict):
             raise ConfigError("a crash schedule is an object of round: [pid, ...], "
                               "got %r" % (schedule,))
-        return CrashAsOmission({checked_round(r): checked_pids(ps, "crash schedule pids")
-                                for r, ps in schedule.items()})
+        rounds = {checked_round(r): checked_pids(ps, "crash schedule pids")
+                  for r, ps in schedule.items()}
+        if len(rounds) < len(schedule):
+            raise ConfigError("crash schedule names a round twice: %s"
+                              % ", ".join(map(str, schedule)))
+        return CrashAsOmission(rounds)
     if name == "eclipse":
         targets = opts.get("targets")
         if targets is None:

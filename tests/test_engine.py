@@ -119,7 +119,7 @@ class ReferenceEngine(Engine):
     list of kept ones, appended to the inboxes of the receivers still
     running."""
 
-    def _deliver_fast(self, outbox, inbox, gens, rec, cut_off, link_filter):
+    def _deliver_fast(self, outbox, inbox, gens, rec):
         corrupted, rnd, strategy = self.trace.corrupted, self.round, self.adversary
 
         def keeps(m):
@@ -494,7 +494,7 @@ def test_all_to_all_kinds_go_to_ctx_others(monkeypatch, protocol, x):
     # the inner runs' dissemination goes to their own block's members, so
     # only the trade-off's rounds after its phases must use ctx.others
     seen = set()
-    transmit = Engine._transmit
+    deliver = Engine._deliver_fast
 
     def checked(self, outbox, *args):
         for sender, receivers, payload, _ in outbox:
@@ -502,9 +502,9 @@ def test_all_to_all_kinds_go_to_ctx_others(monkeypatch, protocol, x):
                     payload[0] == "dv" and self.round > after_phases):
                 assert receivers is self.others[sender], (self.round, payload)
                 seen.add(payload[0])
-        return transmit(self, outbox, *args)
+        return deliver(self, outbox, *args)
 
-    monkeypatch.setattr(Engine, "_transmit", checked)
+    monkeypatch.setattr(Engine, "_deliver_fast", checked)
     n = 64 if protocol == "main" else 128
     for inputs in ("alternating", "ones"):
         cfg = SystemConfig(n=n, t=2, seed=0, inputs=resolve_inputs(inputs, n),
@@ -543,6 +543,15 @@ class DropKind(DropOneIncoming):
         return payload[0] != "b"
 
 
+class CutOffLookalike(DropOneIncoming):
+    """Corrupts 2 and 5, drops every link into them and their links to 1
+    and 3: each entry to ctx.others loses as many receivers as cutting off
+    2 and 5 would, but not the same ones."""
+
+    def link_filter(self, rnd, sender, receiver, payload):
+        return sender in (2, 5) and receiver not in (1, 3)
+
+
 class Recording(AdversaryStrategy):
     """Corrupts 2 in round 1 and 5 in round 2, drops a fixed third of the
     links it is asked about and notes every question."""
@@ -572,6 +581,11 @@ def omitted_links(trace):
      | {(2, 1, q, "b") for q in range(2, 8)}),
     (lambda: Eclipse({2, 5}, 3), None),
     (SilenceTwoAndFive, None),
+    (CutOffLookalike, {(r, s, q, kind) for r, kind, senders in
+                       ((1, "a", range(1, 8)), (2, "a", range(1, 8)),
+                        (3, "a", range(1, 8)), (2, "b", (1, 3, 5, 7)))
+                       for s in senders for q in ((1, 3) if s in (2, 5) else (2, 5))
+                       if s != q}),
 ])
 def test_link_filter_matches_reference(adversary, omitted):
     cfg = SystemConfig(n=7, t=2, seed=5, inputs=(0,) * 7)

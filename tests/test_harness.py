@@ -173,7 +173,8 @@ def test_cli_bad_adversary_options_exit_2(extra):
     assert_config_exit(res)
 
 
-@pytest.mark.parametrize("text", ["1: 70\n", "1: 0\n", "one: 2\n", "1: 1 2 3\n"])
+@pytest.mark.parametrize("text", ["1: 70\n", "1: 0\n", "one: 2\n", "1: 1 2 3\n",
+                                  "2: 3\n2: 5\n", "2: 3\n02: 5\n", "5\n"])
 def test_cli_bad_crash_schedule_exit_2(tmp_path, text):
     sched = tmp_path / "sched.txt"
     sched.write_text(text)
@@ -344,6 +345,8 @@ CRASH = {"n": 31, "t": 1, "adversary": "crash"}
     ({"n": 31, "t": 1, "record_level": -1}, "record_level must be 0, 1 or 2"),
     ({"n": 31, "t": 1, "x": 3}, "ConfigError: x sets the trade-off's super-processes"),
     ({"n": 31, "t": 1, "protocol": "main", "x": 0}, "ConfigError: x sets the trade-off's"),
+    (dict(CRASH, adversary_opts={"schedule": {"2": [3], "02": [5]}}),
+     "ConfigError: crash schedule names a round twice: 2, 02"),
 ])
 def test_run_sweep_bad_value_type_is_that_cells_error(tmp_path, bad_cell, message):
     plan = {"cells": [bad_cell, {"n": 31, "t": 1, "seeds": 1}]}
