@@ -21,6 +21,6 @@ from .fallback import ChainFlooder, reference_run, run_fallback
 from .adversaries import CoinBiaser, CrashAsOmission, Eclipse
 from .coingame import (
     CoinGame, anti_concentration_check, bias_probability, bias_report,
-    hiding_budget, min_hiding,
+    forcing_set, hiding_budget, min_hiding,
 )
 from .harness import run_record, run_sweep, to_jsonl, csv_summary

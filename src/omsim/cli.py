@@ -31,9 +31,18 @@ def emit(text, out):
 
 
 def load_json(path):
+    """Parse a plan or constants file; a key repeated within one object is
+    a config error, not a silent last-one-wins."""
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError("%s repeats the key %r in one object" % (path, key))
+            obj[key] = value
+        return obj
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as e:
             raise ConfigError("%s is not valid JSON: %s" % (path, e))
 

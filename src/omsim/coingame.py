@@ -102,28 +102,74 @@ def min_hiding(game, y, v, cap=None, budget=20):
     return UNBIASABLE, None
 
 
+def forcing_set(game, y, v, B):
+    """Some set H of at most B players whose hiding forces f to v on y, or
+    None when there is none.
+
+    Tries sizes from min(B, k) down to 0, lexicographic within a size,
+    hiding in place in one reused list as `min_hiding` does. The set found
+    need not be the smallest: whether one exists is a property of y alone,
+    and large sets come first because H decides every outcome that agrees
+    with y off H."""
+    k = game.k
+    f = game.f
+    z = list(y)
+    for size in range(min(B, k), -1, -1):
+        for H in itertools.combinations(range(k), size):
+            for i in H:
+                z[i] = None
+            if f(tuple(z)) == v:
+                return H
+            for i in H:
+                z[i] = y[i]
+    return None
+
+
 def bias_probability(game, v, B, mode="exact", trials=20000, seed=0, budget=20):
     """Pr over y that the adversary can force f to v hiding at most B
-    players. Exact mode returns a Fraction; Monte-Carlo a float."""
+    players. Exact mode returns a Fraction; Monte-Carlo a float.
+
+    Exact mode walks the outcomes in `outcomes()` order with one covered
+    flag each, indexed mixed-radix by each player's digit in its domain.
+    Each uncovered y gets one `forcing_set` search, and a set H it finds
+    covers every outcome that agrees with y off H, since all of them hide
+    to the same tuple."""
+    k = game.k
+    if k > budget:
+        raise BudgetExceeded("k=%d exceeds enumeration budget %d" % (k, budget))
+    doms = [game.domain(i) for i in range(k)]
     if mode == "exact":
-        total = Fraction(0)
-        for y, pr in game.outcomes():
-            size, _ = min_hiding(game, y, v, cap=B, budget=budget)
-            if size <= B:
-                total += pr
-        return total
+        radix = [len(d) for d in doms]
+        stride = [math.prod(radix[i + 1:]) for i in range(k)]
+        covered = bytearray(math.prod(radix))
+        columns = [tuple(enumerate(val for val, _ in d)) for d in doms]
+        for idx, combo in enumerate(itertools.product(*columns)):
+            if covered[idx]:
+                continue
+            H = forcing_set(game, tuple(val for _, val in combo), v, B)
+            if H is None:
+                continue
+            # every digit combination on H, with y's digits off H
+            base, offsets = idx, [0]
+            for i in H:
+                base -= combo[i][0] * stride[i]
+                offsets = [o + d * stride[i] for o in offsets for d in range(radix[i])]
+            for o in offsets:
+                covered[base + o] = 1
+        if 0 not in covered:             # CoinGame checked that each domain sums to 1
+            return Fraction(1)
+        return sum((pr for flag, (_, pr) in zip(covered, game.outcomes()) if flag),
+                   Fraction(0))
     check_trials(trials)
     check_seed(seed)
     rng = np.random.default_rng(seed)
     hits = 0
-    doms = [game.domain(i) for i in range(game.k)]
     values = [[val for val, _ in d] for d in doms]
     probs = [[float(p) for _, p in d] for d in doms]
     for _ in range(trials):
         y = tuple(values[i][rng.choice(len(values[i]), p=probs[i])]
-                  for i in range(game.k))
-        size, _ = min_hiding(game, y, v, cap=B, budget=budget)
-        if size <= B:
+                  for i in range(k))
+        if forcing_set(game, y, v, B) is not None:
             hits += 1
     return hits / trials
 

@@ -14,6 +14,7 @@ import math
 import random
 import statistics
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -252,6 +253,30 @@ def test_criterion_08_coin_game_lemma():
                          for v in (0, 1))
                 assert ok, (k, alpha, f.__name__)
     report("criterion 8 coin game lemma: PASS (k 4..12, majority and parity)")
+
+
+def test_criterion_13_coin_game_budget_growth():
+    # criterion 8's budget hides every coin, so it passes for any oracle;
+    # the least budget B* that forces some v with probability >= 1 - alpha
+    # must grow no faster than sqrt(k ln(1/alpha)), as the lemma claims
+    alpha = Fraction(1, 4)
+    rows = []
+    for k in range(4, 13):
+        b_star = {}
+        for f in (majority_ties_zero, parity):
+            game = CoinGame(k=k, f=f, domains=(UNIFORM_BIT,) * k)
+            b_star[f.__name__] = next(
+                (B for B in range(k + 1)
+                 if any(bias_probability(game, v, B) >= 1 - alpha for v in (0, 1))),
+                math.inf)
+        rows.append((k, b_star, math.sqrt(k * math.log(1 / alpha))))
+    bad = [row for row in rows if max(row[1].values()) > row[2]]
+    for k, b_star, bound in rows:
+        report("  k=%d: B* majority %s, parity %s; bound %.2f"
+               % (k, b_star["majority_ties_zero"], b_star["parity"], bound))
+    report("criterion 13 coin game budget growth: %s (k 4..12, alpha 1/4)"
+           % ("PASS" if not bad else "FAIL"))
+    assert not bad, bad
 
 
 def test_criterion_09_anti_concentration():

@@ -1,13 +1,14 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from omsim.coingame import (
     UNBIASABLE, BiasReport, CoinGame, anti_concentration_check,
-    bias_probability, bias_report, hide, hiding_budget, majority_ties_zero,
-    min_hiding, parity,
+    bias_probability, bias_report, forcing_set, hide, hiding_budget,
+    majority_ties_zero, min_hiding, parity,
 )
 from omsim.engine import BudgetExceeded, ConfigError
 
@@ -167,6 +168,24 @@ def test_bias_probability_zero_budget_is_direct_fraction_sum():
             assert bias_probability(g, v, 0) == want
 
 
+def cover_pass_calls(f, k, v, B):
+    """The tuples the exact oracle hands f on uniform bits, with hide():
+    each outcome not yet covered tries sizes from B down, and the set that
+    forces v covers every outcome agreeing with y off it."""
+    calls, covered = [], set()
+    for y in itertools.product((0, 1), repeat=k):
+        if y in covered:
+            continue
+        for H in itertools.chain.from_iterable(
+                itertools.combinations(range(k), s) for s in range(min(B, k), -1, -1)):
+            calls.append(hide(y, set(H)))
+            if f(calls[-1]) == v:
+                covered.update(y2 for y2 in itertools.product((0, 1), repeat=k)
+                               if hide(y2, set(H)) == calls[-1])
+                break
+    return calls
+
+
 def test_oracle_calls_f_as_enumerating_with_hide_does():
     for f in (majority_ties_zero, parity):
         for v in (0, 1):
@@ -174,8 +193,12 @@ def test_oracle_calls_f_as_enumerating_with_hide_does():
                 calls = []
                 g = CoinGame(k=6, f=lambda vals: calls.append(vals) or f(vals))
                 bias_probability(g, v, B)
+                assert calls == cover_pass_calls(f, 6, v, B)
+                assert all(type(c) is tuple for c in calls)
+                calls.clear()
                 want = []
                 for y in itertools.product((0, 1), repeat=6):
+                    min_hiding(g, y, v, cap=B)
                     for H in itertools.chain.from_iterable(
                             itertools.combinations(range(6), s) for s in range(B + 1)):
                         want.append(hide(y, set(H)))
@@ -183,6 +206,62 @@ def test_oracle_calls_f_as_enumerating_with_hide_does():
                             break
                 assert calls == want
                 assert all(type(c) is tuple for c in calls)
+
+
+def test_cover_pass_f_calls_at_a_budget_above_k():
+    # hiding all 11 coins forces 0 in one call; for 1, the all-zeros outcome
+    # tries all 2^11 sets, then one set per position covers the rest
+    for f in (majority_ties_zero, parity):
+        for v, want_calls, want in ((0, 1, 1), (1, 2125, Fraction(2047, 2048))):
+            calls = []
+            g = CoinGame(k=11, f=lambda vals: calls.append(vals) or f(vals))
+            assert bias_probability(g, v, 32) == want
+            assert len(calls) == want_calls
+
+
+def random_game(seed):
+    """k <= 6 players, 1-3 listed values each drawn from {0, 1} (so a
+    domain of three lists a value twice), unequal weights, and f a fixed
+    random table over the visible tuples, None marking a hidden entry."""
+    rng = random.Random(seed)
+    k = rng.randint(1, 6)
+    domains = []
+    for _ in range(k):
+        weights = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+        domains.append(tuple((rng.randint(0, 1), Fraction(w, sum(weights)))
+                             for w in weights))
+    table = {z: rng.randint(0, 1)
+             for z in itertools.product((0, 1, None), repeat=k)}
+    return CoinGame(k=k, f=table.__getitem__, domains=tuple(domains))
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_cover_pass_agrees_with_min_hiding_on_random_games(seed):
+    g = random_game(seed)
+    outs = list(g.outcomes())
+    for v in (0, 1):
+        for B in range(g.k + 1):
+            want = Fraction(0)
+            for y, pr in outs:
+                forceable = min_hiding(g, y, v, cap=B)[0] <= B
+                want += pr * forceable
+                H = forcing_set(g, y, v, B)
+                assert (H is not None) == forceable, (y, v, B)
+                if H is not None:
+                    assert len(H) <= B and g.f(hide(y, set(H))) == v
+            assert bias_probability(g, v, B) == want, (v, B)
+
+
+def test_bias_probability_monte_carlo_estimate_is_pinned():
+    # the estimate the per-outcome min_hiding oracle gave for this seed
+    m = game(5, majority_ties_zero)
+    assert bias_probability(m, 0, 2, mode="mc", trials=4000, seed=1) == 0.81025
+
+
+def test_bias_probability_budget_in_both_modes():
+    for mode in ("exact", "mc"):
+        with pytest.raises(BudgetExceeded):
+            bias_probability(game(21, parity), 1, 2, mode=mode, trials=10)
 
 
 def test_normalization_checked():

@@ -243,6 +243,21 @@ def test_cli_malformed_json_exit_2(tmp_path):
     assert_config_exit(runner.invoke(cli_main, ["sweep", str(bad)]))
 
 
+# a Python dict cannot hold a repeated key, so these are written as text
+@pytest.mark.parametrize("command, text, key", [
+    (["sweep"], '{"cells": [{"n": 31, "t": 1, "adversary": "crash", "adversary_opts":'
+                ' {"schedule": {"2": [3], "2": [5]}}}]}', "'2'"),
+    (["run", "-n", "31", "-t", "1", "--config"], '{"epoch_coeff": 1, "epoch_coeff": 4}',
+     "'epoch_coeff'"),
+])
+def test_cli_repeated_json_key_exit_2(tmp_path, command, text, key):
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    res = CliRunner().invoke(cli_main, command + [str(path)])
+    assert_config_exit(res)
+    assert "repeats the key %s" % key in res.stderr
+
+
 def test_run_sweep_unknown_cell_key_is_that_cells_error():
     records = run_sweep({"cells": [
         {"n": 31, "t": 1, "adversry": "crash", "seeds": 2},
