@@ -20,6 +20,7 @@ import numpy as np
 from .engine import BudgetExceeded, ConfigError, check_seed, check_trials
 
 UNBIASABLE = math.inf
+MAX_K = 20      # the most players the oracles enumerate
 
 UNIFORM_BIT = ((0, Fraction(1, 2)), (1, Fraction(1, 2)))
 
@@ -77,7 +78,7 @@ def hide(y, subset):
     return tuple(None if i in subset else v for i, v in enumerate(y))
 
 
-def min_hiding(game, y, v, cap=None, budget=20):
+def min_hiding(game, y, v, cap=None):
     """Exact minimum number of hidden players forcing f to v on y.
 
     Enumerates subsets by increasing size, lexicographic within a size;
@@ -86,8 +87,8 @@ def min_hiding(game, y, v, cap=None, budget=20):
     `hide(y, H)` for each subset H in that order, hidden in place in one
     reused list."""
     k = game.k
-    if k > budget:
-        raise BudgetExceeded("k=%d exceeds enumeration budget %d" % (k, budget))
+    if k > MAX_K:
+        raise BudgetExceeded("k=%d exceeds the enumeration limit %d" % (k, MAX_K))
     top = k if cap is None else min(cap, k)
     f = game.f
     z = list(y)
@@ -125,7 +126,7 @@ def forcing_set(game, y, v, B):
     return None
 
 
-def bias_probability(game, v, B, mode="exact", trials=20000, seed=0, budget=20):
+def bias_probability(game, v, B, mode="exact", trials=20000, seed=0):
     """Pr over y that the adversary can force f to v hiding at most B
     players. Exact mode returns a Fraction; Monte-Carlo a float.
 
@@ -135,8 +136,8 @@ def bias_probability(game, v, B, mode="exact", trials=20000, seed=0, budget=20):
     covers every outcome that agrees with y off H, since all of them hide
     to the same tuple."""
     k = game.k
-    if k > budget:
-        raise BudgetExceeded("k=%d exceeds enumeration budget %d" % (k, budget))
+    if k > MAX_K:
+        raise BudgetExceeded("k=%d exceeds the enumeration limit %d" % (k, MAX_K))
     doms = [game.domain(i) for i in range(k)]
     if mode == "exact":
         radix = [len(d) for d in doms]

@@ -23,8 +23,8 @@ class DegenerateInput(Exception):
 
 def checked_constants(config, bound_name):
     """The run's constants, once t < n / (the fault bound named), the
-    voting gap and the thresholds' order hold; raises ConfigError
-    otherwise."""
+    voting gap, 0 < set_zero, set_one < 1 and the thresholds' order hold;
+    raises ConfigError otherwise."""
     constants = config.params if config.params is not None else Constants()
     n, t = config.n, config.t
     bound = getattr(constants, bound_name)
@@ -37,6 +37,10 @@ def checked_constants(config, bound_name):
             % (constants.set_one, constants.set_zero, t, n))
     lo, zero, one, hi = (constants.decide_lo, constants.set_zero,
                          constants.set_one, constants.decide_hi)
+    # a unanimous vote must not land in the coin band
+    if zero[0] <= 0 or one[0] >= one[1]:
+        raise ConfigError(
+            "vote thresholds need 0 < set_zero and set_one < 1, got %s, %s" % (zero, one))
     # a ones-share in the coin band must not count as decided
     if lo[0] * zero[1] > zero[0] * lo[1] or one[0] * hi[1] > hi[0] * one[1]:
         raise ConfigError(
@@ -119,7 +123,6 @@ def closing(ctx, st, informed, t, targets):
                     ctx.decide(payload[1])
                     return
         return  # only reachable for a faulty process cut off entirely
-    ctx.note("fallback", True)
     value = yield from run_fallback(ctx, st.b, t, targets)
     ctx.broadcast(targets, ("fd", value), 1)
     ctx.decide(value)

@@ -201,7 +201,6 @@ class ExecutionTrace:
         self.rounds = []
         self.corrupted = {}   # pid -> round of corruption
         self.decisions = {}   # pid -> (value, round)
-        self.notes = {}
 
     def verify(self, t):
         """Replay-style checks of the model constraints; raises AssertionError."""
@@ -279,9 +278,6 @@ class Context:
         decisions = self._engine.trace.decisions
         if self.pid not in decisions:
             decisions[self.pid] = (value, self._engine.round)
-
-    def note(self, key, value):
-        self._engine.trace.notes[key] = value
 
 
 # ---------------------------------------------------------------------------

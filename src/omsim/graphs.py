@@ -7,16 +7,16 @@ with probability rho = Delta / (n - 1); when Delta >= n - 1 the graph is
 complete (the asymptotic default degree coefficient always degenerates this
 way at small n, which the docs call out).
 
-Certifiers come in two modes.  Exact mode enumerates within a budget and is
-the mode cross-checked against brute force in tests; sampled mode is
-Monte-Carlo with witnesses.  A FAIL verdict always carries a witness that
-re-verifies independently.
+Certifiers come in two modes, both run by one search.  Exact mode enumerates
+at most EXACT_CAP sets and is the mode cross-checked against brute force in
+tests; sampled mode is Monte-Carlo with witnesses.  A FAIL verdict always
+carries a witness that re-verifies independently.
 """
 
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -43,6 +43,8 @@ class GraphConfig:
     def from_coeff(cls, n, coeff, seed):
         if not 0 < coeff < math.inf:
             raise ConfigError("need a finite coeff > 0, got %r" % coeff)
+        if coeff * log2_ceil(n) == math.inf:
+            raise ConfigError("delta = %r * ceil(log2 %d) overflows" % (coeff, n))
         return cls(n=n, delta=max(1, int(round(coeff * log2_ceil(n)))), seed=seed)
 
 
@@ -115,16 +117,30 @@ class Verdict:
     trials: int = 0
     violations: int = 0
 
-    def to_dict(self):
-        return {"ok": self.ok, "witness": self.witness, "mode": self.mode,
-                "trials": self.trials, "violations": self.violations}
+
+EXACT_CAP = 10 ** 6     # the most sets exact mode enumerates
 
 
-def _binom(n, k):
-    return math.comb(n, k) if 0 <= k <= n else 0
+def _verdict(bad, sets, count, draw, mode, trials, seed):
+    """Search for a set S with a witness `bad(S)` other than None.
+
+    Exact mode walks the `count` sets of `sets` in order, if there are at
+    most EXACT_CAP of them, and stops at the first witness.  Sampled mode
+    takes `trials` sets from `draw(rng)`, counts the violations and keeps
+    the first witness."""
+    if mode == "exact":
+        if count > EXACT_CAP:
+            raise BudgetExceeded("%d sets exceed the exact cap %d" % (count, EXACT_CAP))
+        witness = next((w for w in map(bad, sets) if w is not None), None)
+        return Verdict(witness is None, witness=witness)
+    check_trials(trials)
+    rng = random.Random(seed)
+    found = [w for w in (bad(draw(rng)) for _ in range(trials)) if w is not None]
+    return Verdict(not found, witness=found[0] if found else None, mode="sampled",
+                   trials=trials, violations=len(found))
 
 
-def check_expansion(graph, ell, mode="exact", trials=10000, budget=10 ** 6, seed=0):
+def check_expansion(graph, ell, mode="exact", trials=10000, seed=0):
     """ell-expansion: any two disjoint ell-subsets are joined by an edge.
 
     A set A violates it iff at least ell vertices lie outside A and all of
@@ -140,74 +156,37 @@ def check_expansion(graph, ell, mode="exact", trials=10000, budget=10 ** 6, seed
         blocked = set(A)
         for a in A:
             blocked |= graph.adj_sets[a]
-        return [v for v in verts if v not in blocked]
+        far = [v for v in verts if v not in blocked]
+        return (sorted(A), far[:ell]) if len(far) >= ell else None
 
-    if mode == "exact":
-        if _binom(n, ell) > budget:
-            raise BudgetExceeded("C(%d,%d) exceeds exact budget" % (n, ell))
-        for A in itertools.combinations(verts, ell):
-            far = far_side(A)
-            if len(far) >= ell:
-                return Verdict(False, witness=(list(A), far[:ell]))
-        return Verdict(True)
-    check_trials(trials)
-    rng = random.Random(seed)
-    violations = 0
-    witness = None
-    for _ in range(trials):
-        A = rng.sample(verts, ell)
-        far = far_side(A)
-        if len(far) >= ell:
-            violations += 1
-            if witness is None:
-                witness = (sorted(A), far[:ell])
-    return Verdict(violations == 0, witness=witness, mode="sampled",
-                   trials=trials, violations=violations)
+    return _verdict(far_side, itertools.combinations(verts, ell), math.comb(n, ell),
+                    lambda rng: rng.sample(verts, ell), mode, trials, seed)
 
 
 def internal_edges(graph, X):
     Xs = set(X)
-    cnt = 0
-    for v in Xs:
-        for q in graph.adj[v]:
-            if q > v and q in Xs:
-                cnt += 1
-    return cnt
+    return sum(len(graph.adj_sets[v] & Xs) for v in Xs) // 2
 
 
-def check_edge_sparsity(graph, ell, alpha, mode="exact", trials=10000,
-                        budget=10 ** 6, seed=0):
+def check_edge_sparsity(graph, ell, alpha, mode="exact", trials=10000, seed=0):
     """(ell, alpha)-edge-sparsity: every vertex set X with |X| <= ell spans
     at most alpha * |X| internal edges."""
     n = graph.n
     verts = range(1, n + 1)
-
-    def bad(X):
-        return internal_edges(graph, X) > alpha * len(X)
-
-    if mode == "exact":
-        total = sum(_binom(n, k) for k in range(2, ell + 1))
-        if total > budget:
-            raise BudgetExceeded("subset count %d exceeds exact budget" % total)
-        for k in range(2, ell + 1):
-            for X in itertools.combinations(verts, k):
-                if bad(X):
-                    return Verdict(False, witness=list(X))
-        return Verdict(True)
-    check_trials(trials)
-    if ell < 2:
+    if mode != "exact" and ell < 2:
+        check_trials(trials)
         return Verdict(True)    # no set of two or more to test: exact mode's verdict
 
-    rng = random.Random(seed)
-    violations = 0
-    witness = None
-    for _ in range(trials):
-        k = rng.randint(2, ell)
-        X = rng.sample(verts, k)
-        if bad(X):
-            violations += 1
-            if witness is None:
-                witness = sorted(X)
+    def dense(X):
+        return sorted(X) if internal_edges(graph, X) > alpha * len(X) else None
+
+    sizes = range(2, ell + 1)
+    verdict = _verdict(dense, itertools.chain.from_iterable(
+                           itertools.combinations(verts, k) for k in sizes),
+                       sum(math.comb(n, k) for k in sizes),
+                       lambda rng: rng.sample(verts, rng.randint(2, ell)), mode, trials, seed)
+    if mode == "exact":
+        return verdict
     # greedy hunt: grow from each of the highest-degree vertices by always
     # adding the vertex with the most neighbors inside the current set
     order = sorted(verts, key=graph.degree, reverse=True)[:5]
@@ -224,9 +203,8 @@ def check_edge_sparsity(graph, ell, alpha, mode="exact", trials=10000,
                     gain[q] = gain.get(q, 0) + 1
             if inside > alpha * len(X):
                 return Verdict(False, witness=sorted(X), mode="sampled",
-                               trials=trials, violations=violations + 1)
-    return Verdict(violations == 0, witness=witness, mode="sampled",
-                   trials=trials, violations=violations)
+                               trials=trials, violations=verdict.violations + 1)
+    return verdict
 
 
 def peel(graph, S, constrained, delta, keep=None):
@@ -305,8 +283,8 @@ class GraphPropertyReport:
         return {
             "n": self.n, "delta": self.delta,
             "degrees": list(self.degrees),
-            "expanding": {str(k): v.to_dict() for k, v in self.expanding.items()},
-            "edge_sparse": {str(k): v.to_dict() for k, v in self.edge_sparse.items()},
+            "expanding": {str(k): asdict(v) for k, v in self.expanding.items()},
+            "edge_sparse": {str(k): asdict(v) for k, v in self.edge_sparse.items()},
         }
 
 
@@ -320,14 +298,11 @@ def certify(graph, delta, ell=None, alpha=None, mode="sampled", trials=2000, see
     if not 0 < alpha < math.inf:
         raise ConfigError("need a finite alpha > 0, got %r" % alpha)
     rep = GraphPropertyReport(n=n, delta=delta, degrees=graph.degree_range())
-    try:
-        rep.expanding[ell] = check_expansion(graph, ell, mode=mode, trials=trials, seed=seed)
-    except BudgetExceeded:
-        rep.expanding[ell] = check_expansion(graph, ell, mode="sampled", trials=trials, seed=seed)
-    try:
-        rep.edge_sparse[(ell, round(alpha, 4))] = check_edge_sparsity(
-            graph, ell, alpha, mode=mode, trials=trials, seed=seed)
-    except BudgetExceeded:
-        rep.edge_sparse[(ell, round(alpha, 4))] = check_edge_sparsity(
-            graph, ell, alpha, mode="sampled", trials=trials, seed=seed)
+    for table, key, check, args in ((rep.expanding, ell, check_expansion, (ell,)),
+                                    (rep.edge_sparse, (ell, round(alpha, 4)),
+                                     check_edge_sparsity, (ell, alpha))):
+        try:
+            table[key] = check(graph, *args, mode=mode, trials=trials, seed=seed)
+        except BudgetExceeded:
+            table[key] = check(graph, *args, mode="sampled", trials=trials, seed=seed)
     return rep

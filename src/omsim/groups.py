@@ -94,11 +94,11 @@ def overlay(members, constants, seed, graph_tag=0):
     k = len(members)
     if k == 1:
         return 0, {members[0]: ()}
-    delta = min(max(1, int(round(constants.delta_coeff * log2_ceil(k)))), k - 1)
-    g = generate(GraphConfig(n=k, delta=delta,
-                             seed=(seed * 1000003 + graph_tag) & (2 ** 63 - 1)))
-    return delta, {p: tuple(members[j - 1] for j in g.neighbors(i))
-                   for i, p in enumerate(members, start=1)}
+    cfg = GraphConfig.from_coeff(k, constants.delta_coeff,
+                                 (seed * 1000003 + graph_tag) & (2 ** 63 - 1))
+    g = generate(cfg)
+    return min(cfg.delta, k - 1), {p: tuple(members[j - 1] for j in g.neighbors(i))
+                                   for i, p in enumerate(members, start=1)}
 
 
 def relay_tables(groups, trees):

@@ -23,7 +23,7 @@ class Metrics:
     R_bits: int
     operative_final: int
     operative_min: int
-    fallback_triggered: bool
+    fallback_triggered: bool      # T > closed_form_T: the run went past the closed form
     per_epoch: list = field(default_factory=list)
 
     @classmethod
@@ -44,7 +44,7 @@ class Metrics:
             R_bits=draws,
             operative_final=ops[-1] if ops else eng.config.n,
             operative_min=min(ops) if ops else eng.config.n,
-            fallback_triggered=bool(trace.notes.get("fallback", False)),
+            fallback_triggered=eng.round > eng.protocol.closed_form_T,
             per_epoch=per_epoch,
         )
 

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -33,7 +35,7 @@ def test_from_coeff_takes_only_a_finite_positive_coeff():
     # the certify benchmark's two densities: delta = coeff * ceil(log2 200)
     assert GraphConfig.from_coeff(200, 18.0, 0).delta == 144
     assert GraphConfig.from_coeff(200, 3.0, 0).delta == 24
-    for coeff in (float("nan"), -3.0, 0.0, float("inf")):
+    for coeff in (float("nan"), -3.0, 0.0, float("inf"), 1e308):
         with pytest.raises(ConfigError):
             GraphConfig.from_coeff(200, coeff, 0)
 
@@ -91,7 +93,7 @@ def test_expansion_path_false_with_witness():
 
 def test_expansion_budget():
     with pytest.raises(BudgetExceeded):
-        check_expansion(complete(40), 10, budget=10)
+        check_expansion(complete(40), 10)
 
 
 def test_expansion_sampled_reports_rate():
@@ -312,3 +314,65 @@ def test_certify_runs_and_reports():
     assert 0 < lo <= hi
     d = rep.to_dict()
     assert d["n"] == 60 and "expanding" in d and "edge_sparse" in d
+
+
+# --- pinned certifier outputs --------------------------------------------
+
+def certifier_outputs():
+    """Both checks in both modes, and `certify`, on a seeded batch of small
+    graphs and on the n = 200 overlays the benchmark certifies; the last
+    cases run `certify(mode="exact")` past the exact cap, so both checks
+    fall back to sampled mode."""
+    def verdict(check, *args, **kw):
+        try:
+            return dataclasses.asdict(check(*args, **kw))
+        except BudgetExceeded:
+            return "budget"
+
+    out = []
+    rng = random.Random(23)
+    for case in range(60):
+        n = rng.randint(6, 20)
+        coeff = rng.choice([1.0, 3.0, 18.0])
+        cfg = GraphConfig.from_coeff(n, coeff, case)
+        g = generate(cfg)
+        ell_x = rng.randint(1, min(4, n // 2))
+        ell_s = rng.randint(1, 5)
+        alpha = rng.choice([0.5, 1.0, 1.5, cfg.delta / 15])
+        for mode in ("exact", "sampled"):
+            kw = dict(mode=mode, trials=50, seed=case)
+            out.append((n, coeff, mode, ell_x, ell_s, alpha,
+                        verdict(check_expansion, g, ell_x, **kw),
+                        verdict(check_edge_sparsity, g, ell_s, alpha, **kw),
+                        certify(g, cfg.delta, **kw).to_dict()))
+    clique = [(a, b) for a in range(1, 6) for b in range(a + 1, 7)]
+    planted = OverlayGraph(41, clique + [(7, 8), (9, 10)])
+    out.append(verdict(check_edge_sparsity, planted, 8, 1.2, mode="sampled", trials=50, seed=1))
+    for coeff in (3.0, 18.0):
+        for seed in (0, 1):
+            cfg = GraphConfig.from_coeff(200, coeff, seed)
+            g = generate(cfg)
+            alpha = cfg.delta / 15
+            out.append((coeff, seed,
+                        verdict(check_expansion, g, 20, mode="sampled", trials=400, seed=seed),
+                        verdict(check_edge_sparsity, g, 20, alpha, mode="sampled",
+                                trials=400, seed=seed),
+                        verdict(check_expansion, g, 2, mode="exact"),
+                        verdict(check_expansion, g, 3, mode="exact"),
+                        verdict(check_edge_sparsity, g, 2, 0.4, mode="exact"),
+                        verdict(check_edge_sparsity, g, 2, alpha, mode="exact"),
+                        verdict(check_edge_sparsity, g, 3, alpha, mode="exact"),
+                        certify(g, cfg.delta, mode="exact", trials=400, seed=seed).to_dict()))
+    return out
+
+
+def test_certifier_outputs_are_pinned():
+    out = certifier_outputs()
+    # the coeff-3 overlays at n = 200 fail both checks in sampled mode, the
+    # coeff-18 ones pass; the fallback certify agrees with sampled mode
+    assert [o[2]["violations"] for o in out[-4:]] == [17, 15, 0, 0]
+    assert [o[3]["violations"] for o in out[-4:]] == [1, 3, 0, 0]
+    assert all(o[5] == o[8] == "budget" for o in out[-4:])
+    assert all(o[-1]["expanding"]["20"] == o[2] for o in out[-4:])
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == "d370e4bc8c79555b9856bd82d2a783d52b82ce268fb007358f6abbe1b175d731"

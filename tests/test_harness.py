@@ -320,6 +320,39 @@ def test_thresholds_that_decide_on_a_coin_exit_2(tmp_path, overrides, protocol):
     assert rec["error"].startswith("ConfigError: vote thresholds need")
 
 
+# each keeps the order, but puts a unanimous vote in the coin band: with
+# set_one = 1 an all-ones vote never sets 1, with set_zero = 0 an all-zeros
+# vote never sets 0, so a unanimous input would be decided by coins
+UNANIMITY_IN_COIN_BAND = ({"set_one": [30, 30], "decide_hi": [30, 30]},
+                          {"set_zero": [0, 30], "decide_lo": [0, 30]})
+
+
+@pytest.mark.parametrize("protocol", [{}, {"protocol": "tradeoff", "x": 4}])
+@pytest.mark.parametrize("overrides", UNANIMITY_IN_COIN_BAND)
+def test_thresholds_that_put_unanimity_in_the_coin_band_exit_2(tmp_path, overrides, protocol):
+    build_constants(overrides, "acceptance")
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps(overrides))
+    inputs = "ones" if "set_one" in overrides else "zeros"
+    flags = [arg for key, value in protocol.items() for arg in ("--" + key, str(value))]
+    res = CliRunner().invoke(cli_main, ["run", "-n", "128", "-t", "2", "--preset", "acceptance",
+                                        "--inputs", inputs, "--config", str(conf)] + flags)
+    assert_config_exit(res)
+    assert "need 0 < set_zero and set_one < 1" in res.stderr
+    [rec] = run_sweep({"cells": [dict(protocol, n=128, t=2, preset="acceptance",
+                                      inputs=inputs, constants=overrides)]})
+    assert rec["error"].startswith("ConfigError: vote thresholds need 0 < set_zero")
+
+
+def test_delta_coeff_whose_degree_overflows_exits_2(tmp_path):
+    # a finite coefficient, but delta_coeff * ceil(log2 n) is infinite
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps({"delta_coeff": 1e308}))
+    res = CliRunner().invoke(cli_main, ["run", "-n", "64", "-t", "1", "--config", str(conf)])
+    assert_config_exit(res)
+    assert "overflows" in res.stderr
+
+
 def test_thresholds_at_the_set_thresholds_are_accepted(tmp_path):
     # decide_lo = set_zero and decide_hi = set_one meet the order
     conf = tmp_path / "c.json"

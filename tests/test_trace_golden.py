@@ -31,7 +31,9 @@ def trace_hash(protocol, n, t, x, adversary, seed):
     h = hashlib.sha256()
     for rec in trace.rounds:
         h.update(repr(rec).encode())
-    h.update(repr((decisions, trace.corrupted, trace.notes, metrics)).encode())
+    # the run notes these pins were taken with held just the fallback flag
+    notes = {"fallback": True} if metrics.fallback_triggered else {}
+    h.update(repr((decisions, trace.corrupted, notes, metrics)).encode())
     return h.hexdigest()
 
 
