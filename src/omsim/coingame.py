@@ -3,8 +3,9 @@
 k players each draw a value from their own finite distribution; a public
 function f maps the (possibly partially hidden) value vector to a bit. The
 adversary sees all values and may hide a bounded number of them to bias
-the outcome. Exact oracles enumerate hiding subsets and outcome vectors;
-Monte-Carlo variants cover larger games.
+the outcome. Exact oracles enumerate hiding subsets and outcome vectors,
+or only the k + 1 ones-count classes when f is a built-in over uniform
+bits; Monte-Carlo variants cover larger games.
 
 Hidden entries are passed to f as None; built-in outcome functions ignore
 them, custom ones may interpret them however they like (f must be total).
@@ -126,20 +127,43 @@ def forcing_set(game, y, v, B):
     return None
 
 
+def _class_pass(game, v, B):
+    """Exact bias over the k + 1 ones-count classes, or None unless every
+    player draws a uniform bit and f, unwrapped through `__wrapped__`, is a
+    built-in, which reads only the counts of visible ones and zeros. Class j
+    is forceable when hiding some h1 <= min(j, B) ones and h0 <= min(k - j,
+    B - h1) zeros makes f return v; f sees one tuple per (j, h1, h0): the
+    hidden entries, then the visible ones, then the visible zeros. That is
+    at most sum_j (min(j, B) + 1)(min(k - j, B) + 1) calls."""
+    k, f, base = game.k, game.f, game.f
+    while hasattr(base, "__wrapped__"):
+        base = base.__wrapped__
+    if base not in BUILTIN_F.values() or any(d != UNIFORM_BIT for d in game.domains):
+        return None
+    hits = sum(math.comb(k, j) for j in range(k + 1)
+               if any(f((None,) * (h0 + h1) + (1,) * (j - h1) + (0,) * (k - j - h0)) == v
+                      for h1 in range(min(j, B) + 1)
+                      for h0 in range(min(k - j, B - h1) + 1)))
+    return Fraction(hits, 2 ** k)
+
+
 def bias_probability(game, v, B, mode="exact", trials=20000, seed=0):
     """Pr over y that the adversary can force f to v hiding at most B
     players. Exact mode returns a Fraction; Monte-Carlo a float.
 
-    Exact mode walks the outcomes in `outcomes()` order with one covered
+    Exact mode is `_class_pass` for a built-in f over uniform bits. Any
+    other game walks the outcomes in `outcomes()` order with one covered
     flag each, indexed mixed-radix by each player's digit in its domain.
     Each uncovered y gets one `forcing_set` search, and a set H it finds
-    covers every outcome that agrees with y off H, since all of them hide
-    to the same tuple."""
+    covers every outcome that agrees with y off H: they all hide alike."""
     k = game.k
     if k > MAX_K:
         raise BudgetExceeded("k=%d exceeds the enumeration limit %d" % (k, MAX_K))
     doms = [game.domain(i) for i in range(k)]
     if mode == "exact":
+        by_class = _class_pass(game, v, B)
+        if by_class is not None:
+            return by_class
         radix = [len(d) for d in doms]
         stride = [math.prod(radix[i + 1:]) for i in range(k)]
         covered = bytearray(math.prod(radix))

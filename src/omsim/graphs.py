@@ -175,7 +175,7 @@ def check_edge_sparsity(graph, ell, alpha, mode="exact", trials=10000, seed=0):
     verts = range(1, n + 1)
     if mode != "exact" and ell < 2:
         check_trials(trials)
-        return Verdict(True)    # no set of two or more to test: exact mode's verdict
+        return Verdict(True, mode="sampled")    # no set of two or more to draw
 
     def dense(X):
         return sorted(X) if internal_edges(graph, X) > alpha * len(X) else None

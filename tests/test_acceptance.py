@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from omsim.coingame import (
-    CoinGame, UNIFORM_BIT, anti_concentration_check, bias_probability,
+    MAX_K, CoinGame, UNIFORM_BIT, anti_concentration_check, bias_probability,
     hiding_budget, majority_ties_zero, parity,
 )
 from omsim.graphs import (
@@ -261,7 +261,7 @@ def test_criterion_13_coin_game_budget_growth():
     # must grow no faster than sqrt(k ln(1/alpha)), as the lemma claims
     alpha = Fraction(1, 4)
     rows = []
-    for k in range(4, 13):
+    for k in range(4, MAX_K + 1):
         b_star = {}
         for f in (majority_ties_zero, parity):
             game = CoinGame(k=k, f=f, domains=(UNIFORM_BIT,) * k)
@@ -274,8 +274,8 @@ def test_criterion_13_coin_game_budget_growth():
     for k, b_star, bound in rows:
         report("  k=%d: B* majority %s, parity %s; bound %.2f"
                % (k, b_star["majority_ties_zero"], b_star["parity"], bound))
-    report("criterion 13 coin game budget growth: %s (k 4..12, alpha 1/4)"
-           % ("PASS" if not bad else "FAIL"))
+    report("criterion 13 coin game budget growth: %s (k 4..%d, alpha 1/4)"
+           % ("PASS" if not bad else "FAIL", MAX_K))
     assert not bad, bad
 
 

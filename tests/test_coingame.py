@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from omsim.coingame import (
-    UNBIASABLE, BiasReport, CoinGame, anti_concentration_check,
+    UNBIASABLE, UNIFORM_BIT, BiasReport, CoinGame, anti_concentration_check,
     bias_probability, bias_report, forcing_set, hide, hiding_budget,
     majority_ties_zero, min_hiding, parity,
 )
@@ -267,3 +267,55 @@ def test_bias_probability_budget_in_both_modes():
 def test_normalization_checked():
     with pytest.raises(ConfigError):
         CoinGame(k=1, f=parity, domains=(((0, Fraction(1, 3)),),))
+
+
+def counting(f, calls, wrapped):
+    """f, logging each call in `calls`; `wrapped` sets `__wrapped__` as the
+    perfbench tracer's counting wrapper does, which lets the oracle see the
+    built-in underneath."""
+    def g(vals):
+        calls.append(vals)
+        return f(vals)
+    if wrapped:
+        g.__wrapped__ = f
+    return g
+
+
+def class_bound(k, B):
+    return sum((min(j, B) + 1) * (min(k - j, B) + 1) for j in range(k + 1))
+
+
+def test_class_pass_equals_cover_pass_for_the_builtins():
+    for f in (majority_ties_zero, parity):
+        for k in range(1, 13):
+            for B in range(k + 2):
+                for v in (0, 1):
+                    by_class = bias_probability(game(k, f), v, B)
+                    cover = bias_probability(game(k, lambda vals: f(vals)), v, B)
+                    assert by_class == cover and type(by_class) is Fraction, (f, k, B, v)
+
+
+def test_class_pass_f_calls_stay_within_the_class_bound():
+    # the cover pass makes 36,175 calls for majority at k = 10, B = 3, v = 0
+    # and 2,125 for either built-in at k = 11, B = 32, v = 1
+    for f in (majority_ties_zero, parity):
+        for k, B in ((10, 3), (11, 32)):
+            for v in (0, 1):
+                calls = []
+                bias_probability(game(k, counting(f, calls, wrapped=True)), v, B)
+                assert 0 < len(calls) <= class_bound(k, B), (f, k, B, v, len(calls))
+
+
+@pytest.mark.parametrize("domains", [(THIRDS,) * 3, (QUARTERS,) * 4,
+                                     (THIRDS, QUARTERS, THIRDS, QUARTERS),
+                                     (UNIFORM_BIT, UNIFORM_BIT, QUARTERS)])
+def test_builtin_f_over_non_uniform_domains_takes_the_cover_pass(domains):
+    for f in (majority_ties_zero, parity):
+        for v in (0, 1):
+            for B in range(len(domains) + 1):
+                traced, plain = [], []
+                p = bias_probability(CoinGame(k=len(domains), f=counting(f, traced, True),
+                                              domains=domains), v, B)
+                q = bias_probability(CoinGame(k=len(domains), f=counting(f, plain, False),
+                                              domains=domains), v, B)
+                assert p == q and traced == plain
