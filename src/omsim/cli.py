@@ -12,7 +12,6 @@ import sys
 
 import click
 
-from .adversaries import load_schedule
 from .coingame import BUILTIN_F, CoinGame, anti_concentration_check, bias_report
 from .engine import AdversaryViolation, BudgetExceeded, ConfigError, LivenessFailure
 from .graphs import GraphConfig, certify, generate
@@ -30,39 +29,50 @@ def emit(text, out):
         click.echo(text, nl=False)
 
 
-def load_json(path):
-    """Parse a plan or constants file; a key repeated within one object is
-    a config error, not a silent last-one-wins."""
+def parse_json(text, source):
+    """Parse a plan, a constants file or an option's JSON; a key repeated
+    within one object is a config error, not a silent last-one-wins."""
     def unique_keys(pairs):
         obj = {}
         for key, value in pairs:
             if key in obj:
-                raise ConfigError("%s repeats the key %r in one object" % (path, key))
+                raise ConfigError("%s repeats the key %r in one object" % (source, key))
             obj[key] = value
         return obj
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as e:
+        raise ConfigError("%s is not valid JSON: %s" % (source, e))
+
+
+def load_json(path):
     with open(path) as fh:
-        try:
-            return json.load(fh, object_pairs_hook=unique_keys)
-        except json.JSONDecodeError as e:
-            raise ConfigError("%s is not valid JSON: %s" % (path, e))
+        return parse_json(fh.read(), path)
 
 
-def guarded(fn):
-    def wrapper(*a, **kw):
+class OneLineErrors(click.Group):
+    """Every bad input exits with one line on stderr: click's own usage
+    errors (a value of the wrong type, a missing or unknown option, a
+    missing file) and configuration errors exit 2, invariant violations
+    exit 3."""
+
+    def main(self, *args, **kwargs):
         try:
-            return fn(*a, **kw)
+            return super().main(*args, standalone_mode=False, **kwargs)
+        except click.ClickException as e:
+            click.echo("config error: %s" % e.format_message(), err=True)
+            sys.exit(EXIT_CONFIG)
         except (ConfigError, BudgetExceeded) as e:
             click.echo("config error: %s" % e, err=True)
             sys.exit(EXIT_CONFIG)
         except (AdversaryViolation, LivenessFailure, AssertionError) as e:
             click.echo("invariant violation: %s" % e, err=True)
             sys.exit(EXIT_INVARIANT)
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
+        except click.Abort:
+            sys.exit("Aborted!")
 
 
-@click.group()
+@click.group(cls=OneLineErrors, no_args_is_help=False)
 def main():
     """Consensus simulator for omission-fault adversaries."""
 
@@ -75,11 +85,8 @@ def main():
 @click.option("--x", type=int, default=1, help="super-process count (tradeoff)")
 @click.option("--adversary", type=click.Choice(list(harness.ADVERSARY_OPTIONS)),
               default="none")
-@click.option("--schedule", type=click.Path(exists=True), default=None,
-              help="crash schedule file: 'round: pid pid ...' per line")
-@click.option("--targets", default=None, help="eclipse targets, comma separated")
-@click.option("--rotation", type=int, default=None)
-@click.option("--direction", type=int, default=None)
+@click.option("--adversary-opts", "adversary_opts", metavar="JSON", default=None,
+              help="JSON object of adversary options, as a sweep cell's adversary_opts")
 @click.option("--inputs", default="alternating",
               help="ones | zeros | alternating | explicit bit string")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
@@ -88,24 +95,15 @@ def main():
               default="scaled")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["jsonl", "csv"]), default="jsonl")
-@guarded
-def run(n, t, seed, protocol, x, adversary, schedule, targets, rotation,
-        direction, inputs, config_path, preset, out, fmt):
+def run(n, t, seed, protocol, x, adversary, adversary_opts, inputs, config_path,
+        preset, out, fmt):
     """Run one execution and emit its record."""
     overrides = load_json(config_path) if config_path else None
     constants = harness.build_constants(overrides, preset)
-    opts = {key: value for key, value in (("rotation", rotation), ("direction", direction))
-            if value is not None}
-    try:
-        if schedule:
-            with open(schedule) as fh:
-                opts["schedule"] = load_schedule(fh.read())
-        if targets is not None:
-            opts["targets"] = tuple(int(p) for p in targets.split(","))
-    except ValueError as e:
-        raise ConfigError("--schedule and --targets take integer pids: %s" % e)
+    if adversary_opts is not None:
+        adversary_opts = parse_json(adversary_opts, "--adversary-opts")
     rec = harness.run_record(n=n, t=t, seed=seed, protocol=protocol, x=x,
-                             adversary=adversary, adversary_opts=opts,
+                             adversary=adversary, adversary_opts=adversary_opts,
                              constants=constants, inputs=inputs)
     if fmt == "csv":
         emit(harness.csv_summary([rec]), out)
@@ -117,7 +115,6 @@ def run(n, t, seed, protocol, x, adversary, schedule, targets, rotation,
 @click.argument("plan_path", type=click.Path(exists=True))
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["jsonl", "csv"]), default="jsonl")
-@guarded
 def sweep(plan_path, out, fmt):
     """Run every (cell, seed) of a JSON plan file."""
     plan = load_json(plan_path)
@@ -142,7 +139,6 @@ def sweep(plan_path, out, fmt):
 @click.option("--mode", type=click.Choice(["exact", "sampled"]), default="sampled")
 @click.option("--trials", type=int, default=2000)
 @click.option("--out", type=click.Path(), default=None)
-@guarded
 def graph_check(n, delta, coeff, seed, ell, alpha, mode, trials, out):
     """Generate an overlay graph and certify its properties."""
     cfg = GraphConfig(n=n, delta=delta, seed=seed) if delta is not None \
@@ -166,7 +162,6 @@ def graph_check(n, delta, coeff, seed, ell, alpha, mode, trials, out):
 @click.option("--tau", type=float, default=0.5)
 @click.option("--seed", type=int, default=0)
 @click.option("--out", type=click.Path(), default=None)
-@guarded
 def coin_game(k, fname, alpha, coeff, mode, trials, anti, bignum, tau, seed, out):
     """Bias oracles for the one-round coin-flipping game."""
     if anti:

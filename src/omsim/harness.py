@@ -99,15 +99,15 @@ def make_protocol(config, protocol="main", x=1):
 
 
 def checked_pids(pids, what):
-    if isinstance(pids, (list, tuple, set, frozenset)) and all(map(is_int, pids)):
+    if isinstance(pids, (list, tuple, set, frozenset)) and pids and all(map(is_int, pids)):
         return frozenset(pids)
-    raise ConfigError("%s must be a list of integer pids, got %r" % (what, pids))
+    raise ConfigError("%s must be a list of integer pids, not empty, got %r" % (what, pids))
 
 
 def checked_round(key):
-    """A crash-schedule round: an integer >= 1, or its digits, as JSON
-    object keys are strings."""
-    if isinstance(key, str) and key.isdigit():
+    """A crash-schedule round: an integer >= 1, or its ASCII digits, as
+    JSON object keys are strings."""
+    if isinstance(key, str) and key.isascii() and key.isdigit():
         key = int(key)
     if is_int(key) and key >= 1:
         return key
@@ -141,9 +141,9 @@ def make_adversary(name, n, t, opts=None):
         schedule = opts.get("schedule")
         if schedule is None:
             return CrashAsOmission({1: frozenset(range(1, t + 1))} if t else {})
-        if not isinstance(schedule, dict):
-            raise ConfigError("a crash schedule is an object of round: [pid, ...], "
-                              "got %r" % (schedule,))
+        if not (isinstance(schedule, dict) and schedule):
+            raise ConfigError("a crash schedule is an object of round: [pid, ...] "
+                              "naming at least one round, got %r" % (schedule,))
         rounds = {checked_round(r): checked_pids(ps, "crash schedule pids")
                   for r, ps in schedule.items()}
         if len(rounds) < len(schedule):
@@ -152,10 +152,11 @@ def make_adversary(name, n, t, opts=None):
         return CrashAsOmission(rounds)
     if name == "eclipse":
         targets = opts.get("targets")
-        if targets is None:
-            targets = tuple(range(1, max(1, t // 2) + 1)) if t else ()
-        return Eclipse(checked_pids(targets, "eclipse targets"),
-                       rotation=int_option(opts, "rotation", 2))
+        if targets is None:  # names no target when t = 0, which is legal
+            targets = range(1, max(1, t // 2) + 1) if t else ()
+        else:  # a given list must name a pid: an empty one would corrupt nobody
+            targets = checked_pids(targets, "eclipse targets")
+        return Eclipse(targets, rotation=int_option(opts, "rotation", 2))
     return CoinBiaser(int_option(opts, "direction", 1))
 
 
@@ -211,13 +212,14 @@ def cell_seeds(seeds):
 
 
 def run_sweep(plan):
-    """plan: {"cells": [cell, ...]}; each cell holds run_record kwargs plus
-    "seeds" (count or explicit list). Per-cell errors become error records
-    and the sweep continues."""
-    if not isinstance(plan, dict) or not isinstance(plan.get("cells", []), list):
-        raise ConfigError('a sweep plan is {"cells": [cell, ...]}')
+    """plan: {"cells": [cell, ...]}, no other key and at least one cell;
+    each cell holds run_record kwargs plus "seeds" (count or explicit list).
+    Per-cell errors become error records and the sweep continues."""
+    if not (isinstance(plan, dict) and list(plan) == ["cells"]
+            and isinstance(plan["cells"], list) and plan["cells"]):
+        raise ConfigError('a sweep plan is {"cells": [cell, ...]} with at least one cell')
     records = []
-    for idx, cell in enumerate(plan.get("cells", [])):
+    for idx, cell in enumerate(plan["cells"]):
         try:
             if not isinstance(cell, dict):
                 raise ConfigError("a cell is an object, got %r" % (cell,))

@@ -1,8 +1,6 @@
 import pytest
 
-from omsim.adversaries import (
-    CoinBiaser, CrashAsOmission, Eclipse, ScheduleExceedsBudget, load_schedule,
-)
+from omsim.adversaries import CoinBiaser, CrashAsOmission, Eclipse, ScheduleExceedsBudget
 from omsim.consensus import MainConsensus
 from omsim.engine import AdversaryStrategy, SystemConfig, run_execution
 from omsim.groups import Instance
@@ -15,11 +13,6 @@ from test_groups import OneEpoch
 def run_main(n, t, inputs, seed=1, adversary=None, **kw):
     cfg = SystemConfig(n=n, t=t, seed=seed, inputs=tuple(inputs), params=scaled())
     return run_execution(cfg, MainConsensus, adversary, **kw)
-
-
-def test_schedule_parsing():
-    sched = load_schedule("# header\n1: 3 4\n5: 9\n")
-    assert sched == {1: frozenset({3, 4}), 5: frozenset({9})}
 
 
 def test_none_matches_closed_form():

@@ -7,8 +7,8 @@ from click.testing import CliRunner
 from omsim.cli import main as cli_main
 from omsim.engine import ConfigError
 from omsim.harness import (
-    build_constants, csv_summary, resolve_inputs, run_record, run_sweep,
-    to_jsonl,
+    build_constants, csv_summary, make_adversary, resolve_inputs, run_record,
+    run_sweep, to_jsonl,
 )
 from omsim.metrics import Metrics, check_lower_bound_product
 
@@ -135,16 +135,38 @@ def test_cli_anti_concentration():
     assert rep["ok"]
 
 
-def test_cli_run_crash_with_schedule_file(tmp_path):
-    sched = tmp_path / "sched.txt"
-    sched.write_text("1: 2\n")
+def test_cli_run_crash_with_a_schedule():
     runner = CliRunner()
-    res = runner.invoke(cli_main, ["run", "-n", "32", "-t", "1",
-                                   "--adversary", "crash",
-                                   "--schedule", str(sched)])
+    res = runner.invoke(cli_main, ["run", "-n", "32", "-t", "1", "--adversary", "crash",
+                                   "--adversary-opts", '{"schedule": {"1": [2]}}'])
     assert res.exit_code == 0, res.output
     rec = json.loads(res.output)
     assert rec["corrupted"] == {"2": 1}
+
+
+def test_crash_schedule_object_maps_rounds_to_pid_sets():
+    adv = make_adversary("crash", 64, 3, {"schedule": {"1": [3, 4], "05": [9]}})
+    assert adv.schedule == {1: frozenset({3, 4}), 5: frozenset({9})}
+
+
+@pytest.mark.parametrize("adversary, opts", [
+    ("crash", {"schedule": {"1": [2]}}),
+    ("eclipse", {"targets": [1, 2], "rotation": 3}),
+    ("coin-biaser", {"direction": 0}),
+])
+def test_cli_adversary_opts_match_a_sweep_cell(tmp_path, adversary, opts):
+    cell = {"n": 128, "t": 4, "adversary": adversary, "adversary_opts": opts}
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"cells": [cell]}))
+    runner = CliRunner()
+    res = runner.invoke(cli_main, ["run", "-n", "128", "-t", "4", "--adversary", adversary,
+                                   "--adversary-opts", json.dumps(opts)])
+    assert res.exit_code == 0, res.output
+    swept = runner.invoke(cli_main, ["sweep", str(plan)])
+    assert swept.exit_code == 0, swept.output
+    rec = json.loads(swept.output)
+    assert rec.pop("cell") == 0
+    assert res.output == to_jsonl([rec])
 
 
 def assert_config_exit(res):
@@ -155,33 +177,95 @@ def assert_config_exit(res):
     assert len(res.stderr.strip().splitlines()) == 1, res.stderr
 
 
+def adversary_flags(adversary, opts):
+    return ["--adversary", adversary, "--adversary-opts", json.dumps(opts)]
+
+
 @pytest.mark.parametrize("extra", [
-    ["--adversary", "eclipse", "--targets", "70"],
-    ["--adversary", "eclipse", "--targets", "0"],
-    ["--adversary", "eclipse", "--targets=-1"],
-    ["--adversary", "eclipse", "--targets", "1,x"],
-    ["--adversary", "eclipse", "--rotation", "0"],
-    ["--adversary", "coin-biaser", "--direction", "5"],
-    ["--adversary", "eclipse", "--targets", "1,2,3"],
-    ["--adversary", "crash", "--rotation", "3"],
-    ["--adversary", "crash", "--rotation", "0", "--direction", "7"],
-    ["--adversary", "none", "--direction", "1"],
-    ["--adversary", "coin-biaser", "--targets", "1"],
+    adversary_flags("eclipse", {"targets": [70]}),
+    adversary_flags("eclipse", {"targets": [0]}),
+    adversary_flags("eclipse", {"targets": [-1]}),
+    adversary_flags("eclipse", {"targets": [1, "x"]}),
+    adversary_flags("eclipse", {"rotation": 0}),
+    adversary_flags("coin-biaser", {"direction": 5}),
+    adversary_flags("eclipse", {"targets": [1, 2, 3]}),
+    adversary_flags("crash", {"rotation": 3}),
+    adversary_flags("crash", {"rotation": 0, "direction": 7}),
+    adversary_flags("none", {"direction": 1}),
+    adversary_flags("coin-biaser", {"targets": [1]}),
+    adversary_flags("eclipse", {"targets": []}),
+    adversary_flags("eclipse", {"targets": "1,2"}),
+    adversary_flags("coin-biaser", {"direction": True}),
+    adversary_flags("eclipse", [1]),
+    ["--adversary", "eclipse", "--adversary-opts", ""],
+    ["--adversary", "eclipse", "--adversary-opts", "{targets: [1]}"],
 ])
 def test_cli_bad_adversary_options_exit_2(extra):
     res = CliRunner().invoke(cli_main, ["run", "-n", "64", "-t", "2"] + extra)
     assert_config_exit(res)
 
 
-@pytest.mark.parametrize("text", ["1: 70\n", "1: 0\n", "one: 2\n", "1: 1 2 3\n",
-                                  "2: 3\n2: 5\n", "2: 3\n02: 5\n", "5\n"])
-def test_cli_bad_crash_schedule_exit_2(tmp_path, text):
-    sched = tmp_path / "sched.txt"
-    sched.write_text(text)
-    res = CliRunner().invoke(cli_main, ["run", "-n", "64", "-t", "2",
-                                        "--adversary", "crash",
-                                        "--schedule", str(sched)])
+# each id writes the schedule as "round: pid ..." lines
+@pytest.mark.parametrize("schedule", [
+    pytest.param('{"1": [70]}', id="1: 70\n"),
+    pytest.param('{"1": [0]}', id="1: 0\n"),
+    pytest.param('{"one": [2]}', id="one: 2\n"),
+    pytest.param('{"1": [1, 2, 3]}', id="1: 1 2 3\n"),
+    pytest.param('{"2": [3], "2": [5]}', id="2: 3\n2: 5\n"),
+    pytest.param('{"2": [3], "02": [5]}', id="2: 3\n02: 5\n"),
+    pytest.param("[5]", id="5\n"),
+    pytest.param('{"\u00b2": [1]}', id="\u00b2: 1\n"),
+    pytest.param("{}", id="no lines"),
+    pytest.param('{"1": []}', id="1:\n"),
+])
+def test_cli_bad_crash_schedule_exit_2(schedule):
+    res = CliRunner().invoke(cli_main, ["run", "-n", "64", "-t", "2", "--adversary", "crash",
+                                        "--adversary-opts", '{"schedule": %s}' % schedule])
     assert_config_exit(res)
+
+
+def test_cli_repeated_adversary_option_exit_2():
+    res = CliRunner().invoke(cli_main, ["run", "-n", "64", "-t", "2", "--adversary", "eclipse",
+                                        "--adversary-opts", '{"rotation": 2, "rotation": 3}'])
+    assert_config_exit(res)
+    assert "--adversary-opts repeats the key 'rotation'" in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "-n", "abc"],
+    ["run", "-t", "1"],
+    ["run", "-n", "31", "--rotaton", "3"],
+    ["run", "-n", "31", "--protocol", "paxos"],
+    ["sweep", "no-such-plan.json"],
+    ["run", "-n", "31", "--format", "xml"],
+    ["no-such-command"],
+    ["--no-such-option"],
+])
+def test_cli_usage_errors_print_one_line(args):
+    res = CliRunner().invoke(cli_main, args)
+    assert_config_exit(res)
+    assert res.stderr.startswith("config error: ")
+
+
+def test_cli_run_help_lists_adversary_opts_alone():
+    res = CliRunner().invoke(cli_main, ["run", "--help"])
+    assert res.exit_code == 0, res.output
+    assert "--adversary-opts JSON" in res.output
+    for gone in ("--schedule", "--targets", "--rotation", "--direction"):
+        assert gone not in res.output
+
+
+@pytest.mark.parametrize("protocol", [{}, {"protocol": "tradeoff", "x": 4}])
+def test_eclipse_at_t_0_runs_its_default_of_no_target(protocol):
+    # at t = 0 the default eclipse names no target, and that stays legal
+    res = CliRunner().invoke(cli_main, ["run", "-n", "30", "-t", "0", "--adversary", "eclipse"]
+                             + [arg for k, v in protocol.items() for arg in ("--" + k, str(v))])
+    assert res.exit_code == 0, res.output
+    rec = json.loads(res.output)
+    assert rec["adversary"] == "eclipse" and rec["corrupted"] == {} and rec["agreement"]
+    [swept] = run_sweep({"cells": [dict(protocol, n=30, t=0, adversary="eclipse")]})
+    assert "error" not in swept
+    assert swept.pop("cell") == 0 and to_jsonl([swept]) == res.output
 
 
 def test_cli_coin_game_over_budget_exit_2():
@@ -209,7 +293,8 @@ def test_cli_coin_game_over_budget_exit_2():
     ["coin-game", "--anti-concentration", "--seed", "-1"],
     ["run", "-n", "31", "-t", "1", "--x", "3"],
     ["run", "-n", "31", "-t", "1", "--protocol", "main", "--x=-1"],
-    ["run", "-n", "64", "-t", "2", "--adversary", "eclipse", "--targets", ""],
+    ["run", "-n", "64", "-t", "2", "--adversary", "eclipse",
+     "--adversary-opts", '{"targets": []}'],
 ])
 def test_cli_bad_numeric_inputs_exit_2(args):
     assert_config_exit(CliRunner().invoke(cli_main, args))
@@ -256,6 +341,20 @@ def test_cli_repeated_json_key_exit_2(tmp_path, command, text, key):
     res = CliRunner().invoke(cli_main, command + [str(path)])
     assert_config_exit(res)
     assert "repeats the key %s" % key in res.stderr
+
+
+@pytest.mark.parametrize("plan", [
+    {"cell": [{"n": 31, "t": 1}]}, {"cells": []}, {},
+    {"cells": [{"n": 31, "t": 1}], "seeds": 2}, {"cells": {"n": 31, "t": 1}},
+])
+def test_plan_that_runs_nothing_exits_2(tmp_path, plan):
+    with pytest.raises(ConfigError, match="with at least one cell"):
+        run_sweep(plan)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(plan))
+    res = CliRunner().invoke(cli_main, ["sweep", str(path)])
+    assert_config_exit(res)
+    assert res.stdout == ""
 
 
 def test_run_sweep_unknown_cell_key_is_that_cells_error():
@@ -395,6 +494,14 @@ CRASH = {"n": 31, "t": 1, "adversary": "crash"}
     ({"n": 31, "t": 1, "protocol": "main", "x": 0}, "ConfigError: x sets the trade-off's"),
     (dict(CRASH, adversary_opts={"schedule": {"2": [3], "02": [5]}}),
      "ConfigError: crash schedule names a round twice: 2, 02"),
+    (dict(CRASH, adversary_opts={"schedule": {"\u00b2": [1]}}),
+     "ConfigError: crash schedule rounds must be integers >= 1, got '\u00b2'"),
+    (dict(ECLIPSE, adversary_opts={"targets": []}),
+     "ConfigError: eclipse targets must be a list of integer pids"),
+    (dict(CRASH, adversary_opts={"schedule": {}}),
+     "ConfigError: a crash schedule is an object of round: [pid, ...] naming at least one"),
+    (dict(CRASH, adversary_opts={"schedule": {"1": []}}),
+     "ConfigError: crash schedule pids must be a list of integer pids"),
 ])
 def test_run_sweep_bad_value_type_is_that_cells_error(tmp_path, bad_cell, message):
     plan = {"cells": [bad_cell, {"n": 31, "t": 1, "seeds": 1}]}
